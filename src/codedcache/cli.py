@@ -123,10 +123,24 @@ def _merged(args, config: dict, name: str, default=None):
     return config.get(name, default)
 
 
+def _setting(args, config: dict, name: str, convert=int, default=None, *, required=False):
+    """A flag or config value passed through ``convert``; bad or missing -> config error."""
+    value = _merged(args, config, name, default)
+    if value is None:
+        if required:
+            raise InvalidParameterError(f"missing required setting {name}")
+        return None
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(
+            f"setting {name}={value!r} is not a valid {convert.__name__}"
+        ) from exc
+
+
 def _build_model(args, config: dict) -> popularity.PopularityModel:
-    n = _merged(args, config, "N")
     spec = _popularity_spec(args, config)
-    return popularity.from_spec(spec, int(n) if n is not None else None)
+    return popularity.from_spec(spec, _setting(args, config, "N"))
 
 
 def _out_paths(out: str | None) -> tuple[Path | None, Path | None]:
@@ -151,12 +165,12 @@ def _solution_json(candidate, model) -> str:
 def cmd_solve(args) -> int:
     config = _load_config(args.config)
     model = _build_model(args, config)
-    k = int(_merged(args, config, "K"))
-    m = _merged(args, config, "M")
+    k = _setting(args, config, "K", required=True)
+    m = _setting(args, config, "M", float)
     if m is None:
         raise InvalidParameterError("solve needs --M")
-    candidate = algorithm4(model, k, float(m), prune_equal_popularity=args.prune)
-    candidate.placement.check_valid(float(m))
+    candidate = algorithm4(model, k, m)
+    candidate.placement.check_valid(m)
 
     json_text = _solution_json(candidate, model)
     csv_text = candidate.placement.to_csv()
@@ -205,10 +219,10 @@ def _grid_from(args, config) -> list[float]:
     grid_text = _merged(args, config, "M_grid")
     if grid_text is not None:
         return _parse_grid(grid_text)
-    m = _merged(args, config, "M")
+    m = _setting(args, config, "M", float)
     if m is None:
         raise InvalidParameterError("need --M or --M-grid")
-    return [float(m)]
+    return [m]
 
 
 def _emit_csv(header: str, rows: list[str], out: str | None) -> None:
@@ -222,11 +236,11 @@ def _emit_csv(header: str, rows: list[str], out: str | None) -> None:
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
     model = _build_model(args, config)
-    k = int(_merged(args, config, "K"))
+    k = _setting(args, config, "K", required=True)
     spec = _popularity_spec(args, config)
     grid = _grid_from(args, config)
     payloads = [(model.n_files, k, m, spec) for m in grid]
-    jobs = int(_merged(args, config, "jobs", 1))
+    jobs = _setting(args, config, "jobs", default=1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_row, payloads))
@@ -239,7 +253,7 @@ def cmd_sweep(args) -> int:
 def cmd_subpkt(args) -> int:
     config = _load_config(args.config)
     model = _build_model(args, config)
-    k = int(_merged(args, config, "K"))
+    k = _setting(args, config, "K", required=True)
     coeffs = rate_coefficients(model, order_stats(model, k))
     bound, _ = worst_case_subpacketization_bound(k)
     rows = []
@@ -300,8 +314,7 @@ def _verify_instance(model, k: int, m: float, trials: int, seed: int, demands: i
 def _check_placement_file(args, config) -> int:
     data = json.loads(Path(args.placement).read_text())
     matrix = PlacementMatrix.from_json_dict(data)
-    m = _merged(args, config, "M")
-    problems = matrix.violations(float(m) if m is not None else None)
+    problems = matrix.violations(_setting(args, config, "M", float))
     if problems:
         for problem in problems:
             print(f"FAIL placement_invariants {problem}")
@@ -315,24 +328,24 @@ def cmd_verify(args) -> int:
     if args.placement is not None:
         return _check_placement_file(args, config)
 
-    seed = int(_merged(args, config, "seed", 20240))
-    trials = int(_merged(args, config, "trials", 20000))
-    batch = _merged(args, config, "batch")
+    seed = _setting(args, config, "seed", default=20240)
+    trials = _setting(args, config, "trials", default=20000)
+    batch = _setting(args, config, "batch")
     instances = []
     if batch is None:
         model = _build_model(args, config)
-        k = int(_merged(args, config, "K"))
-        m = _merged(args, config, "M")
+        k = _setting(args, config, "K", required=True)
+        m = _setting(args, config, "M", float)
         if m is None:
             raise InvalidParameterError("verify needs --M (or --batch / --placement)")
         if model.n_files * (k + 1) > ORACLE_GUARD_VARS:
             raise InstanceTooLargeError(
                 f"{model.n_files * (k + 1)} variables exceed the oracle guard"
             )
-        instances.append((model, k, float(m)))
+        instances.append((model, k, m))
     else:
         rng = np.random.default_rng(seed)
-        for _ in range(int(batch)):
+        for _ in range(batch):
             n = int(rng.integers(2, 7))
             k = int(rng.integers(1, 6))
             weights = np.sort(rng.random(n))[::-1] + 0.05
@@ -380,10 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="optimal placement for one instance")
     _add_common(p_solve)
-    p_solve.add_argument(
-        "--prune", action="store_true",
-        help="skip group borders between equal-popularity files",
-    )
     p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="rate and bound curves over a cache grid")
@@ -412,7 +421,7 @@ def main(argv=None) -> int:
     except InstanceTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (CodedCacheError, OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (CodedCacheError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -27,8 +27,7 @@ class BinomialRangeError(CodedCacheError, OverflowError):
 
 
 class InfeasibleCaseError(CodedCacheError):
-    """A candidate (n_o, n_1, l_o, l_1) tuple does not yield a valid placement;
-    searches catch this and skip the tuple."""
+    """A candidate (n_o, n_1, l_o, l_1) tuple does not yield a valid placement."""
 
 
 class InvalidFileSizeError(CodedCacheError, ValueError):

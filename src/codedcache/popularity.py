@@ -124,6 +124,12 @@ def make_step(levels: Sequence[tuple]) -> PopularityModel:
     return PopularityModel(model.n_files, model.probs, source="step", perm=model.perm)
 
 
+def _spec_field(spec: dict, name: str):
+    if name not in spec:
+        raise InvalidParameterError(f"popularity spec {spec!r} lacks {name!r}")
+    return spec[name]
+
+
 def from_spec(spec: dict, n_files: int | None = None) -> PopularityModel:
     """Build a model from the JSON popularity spec.
 
@@ -136,11 +142,14 @@ def from_spec(spec: dict, n_files: int | None = None) -> PopularityModel:
     if kind == "zipf":
         if n_files is None:
             raise InvalidParameterError("zipf popularity needs the file count")
-        return make_zipf(n_files, spec["theta"])
+        return make_zipf(n_files, _spec_field(spec, "theta"))
     if kind == "step":
-        model = make_step([(level["p"], level["count"]) for level in spec["levels"]])
+        model = make_step([
+            (_spec_field(level, "p"), _spec_field(level, "count"))
+            for level in _spec_field(spec, "levels")
+        ])
     elif kind == "custom":
-        model = make_custom(spec["probs"])
+        model = make_custom(_spec_field(spec, "probs"))
     else:
         raise InvalidParameterError(f"unknown popularity type {kind!r}")
     if n_files is not None and model.n_files != n_files:

@@ -16,7 +16,12 @@ minimum-rate candidate over all of them:
     n_1 files with every formula's N replaced by n_1, plus an uncached
     third group.
 
-``algorithm4`` reduces the three searches to the final optimum.
+Each family's entries and feasibility conditions are written once, as
+array expressions over (n_o, l_o, l_1) for a given n_eff (N for two
+groups, n_1 for three).  A search evaluates them as one broadcast per
+n_eff, masks infeasible tuples, and picks the winner by the set rule of
+``TIE_TOL``; only the winner is materialized.  ``algorithm4`` takes the
+minimum over all three families.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,19 +38,21 @@ from .placement import (
     PlacementMatrix,
     RateCoefficients,
     analyze_groups,
-    binom_ext,
+    partition_weights,
     rate_coefficients,
 )
 from .popularity import PopularityModel, order_stats
 
-#: Rates closer than this are treated as tied; ties prefer fewer groups,
-#: then the lexicographically smallest (n_o, n_1, l_o, l_1).
+#: Rates closer than this are treated as tied.  The winner is a set rule:
+#: among all feasible candidates with rate <= min + TIE_TOL, the smallest
+#: key (nominal groups, n_o, n_1, l_o, l_1), with absent entries sorting
+#: last and, on an equal key, the earlier ``PlacementCase``.
 TIE_TOL = 1e-12
 #: Entries this close to a degenerate boundary make a candidate collapse
 #: into a simpler structure; such tuples are skipped, not clamped.
 STRICT_TOL = 1e-12
 
-_ABSENT = 10**9  # stands in for an absent tuple entry when comparing
+_ABSENT = 10**9  # stands in for an absent tuple entry in a key
 
 
 class PlacementCase(str, enum.Enum):
@@ -64,6 +72,10 @@ _NOMINAL_GROUPS = {
     PlacementCase.THREE_GROUP_CASE1: 3,
     PlacementCase.THREE_GROUP_CASE2: 3,
 }
+#: Keys store a case as its declaration index.
+_CASES = tuple(PlacementCase)
+_INDEX = {case: index for index, case in enumerate(_CASES)}
+_GROUPS = np.array([_NOMINAL_GROUPS[case] for case in _CASES])
 
 
 @dataclass(frozen=True)
@@ -101,284 +113,191 @@ class CandidateSolution:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form row constructors
+# Closed forms
 
 
-def _one_group_row(n_eff: int, k: int, m: float) -> np.ndarray:
-    """Symmetric placement row for an n_eff-file system with cache m.
+class _Rows(NamedTuple):
+    """Entries of a candidate placement, as scalars or broadcast arrays.
 
-    With v = K*m/n_eff the row has (at most) two adjacent nonzero entries
-    at floor(v) and floor(v)+1; integral v collapses to one entry.
+    Files 1..n_o share row1: x at subset size s and y at t.  Files
+    n_o+1..n_eff share row2: z at s and the server share w.  Files beyond
+    n_eff stay at the server.
     """
-    if not 0.0 <= m <= n_eff:
-        raise InvalidParameterError(f"cache size {m!r} outside [0, {n_eff}]")
-    v = k * m / n_eff
-    lo = min(int(math.floor(v)), k)
-    row = np.zeros(k + 1)
-    row[lo] = (1.0 + lo - v) / binom_ext(k, lo)
-    if lo < k and v > lo:
-        row[lo + 1] = (v - lo) / binom_ext(k, lo + 1)
-    return row
+
+    n_o: object
+    n_eff: object
+    s: object
+    t: object
+    x: object
+    y: object
+    z: object
+    w: object
 
 
-def _case2i_rows(n_eff: int, k: int, m: float, n_o: int, l_o: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the two groups when both share the single subset size l_o."""
-    if not 1 <= n_o <= n_eff - 1:
-        raise InvalidParameterError(f"n_o={n_o} outside 1..{n_eff - 1}")
+def _zero_tail(k: int, m: float, n_o):
+    """Feasibility and rows of the first n_o files holding the whole cache.
+
+    They share the symmetric row of an n_o-file system: with v = K*m/n_o
+    it splits over the adjacent subset sizes floor(v) and floor(v)+1, and
+    integral v collapses to one entry.  The head must hold the cache,
+    m <= n_o; n_o = N is the one-group case.
+    """
+    v = k * m / n_o
+    lo = np.minimum(np.floor(v), k).astype(np.int64)
+    hi = np.minimum(lo + 1, k)
+    binoms = partition_weights(k)
+    x = (1.0 + lo - v) / binoms[lo]
+    y = np.where((lo < k) & (v > lo), (v - lo) / binoms[hi], 0.0)
+    return m <= n_o, _Rows(n_o, n_o, lo, hi, x, y, 0.0, 0.0)
+
+
+def _case2i(k: int, m: float, n_eff: int, n_o, l_o):
+    """Feasibility and rows when both groups share the subset size l_o (case 2.i).
+
+    l_o must lie in the window floor(K*m/n_eff) < l_o < K*m/n_o, and the
+    second group's share of the first group's entry strictly inside (0, 1).
+    """
     km = k * m
-    lo_min = int(math.floor(km / n_eff)) + 1
-    lo_max = min(k, int(math.ceil(km / n_o)) - 1)
-    if not lo_min <= l_o <= lo_max:
-        raise InfeasibleCaseError(
-            f"l_o={l_o} outside the validity window [{lo_min}, {lo_max}]"
-        )
     ratio = km / (l_o * n_eff)  # fraction of each file the first group caches
     share = n_o / n_eff
     frac = (ratio - share) / (1.0 - share)
-    if not STRICT_TOL < frac < 1.0 - STRICT_TOL:
-        raise InfeasibleCaseError("second-group entry degenerates to 0 or to the first group")
-    row1 = np.zeros(k + 1)
-    row1[l_o] = 1.0 / binom_ext(k, l_o)
-    row2 = np.zeros(k + 1)
-    row2[l_o] = frac / binom_ext(k, l_o)
-    row2[0] = (1.0 - ratio) / (1.0 - share)
-    return row1, row2
+    ok = (
+        (np.floor(km / n_eff) + 1 <= l_o)
+        & (l_o <= np.minimum(k, np.ceil(km / n_o) - 1))
+        & (STRICT_TOL < frac)
+        & (frac < 1.0 - STRICT_TOL)
+    )
+    binom = partition_weights(k)[l_o]
+    row2_server = (1.0 - ratio) / (1.0 - share)
+    return ok, _Rows(n_o, n_eff, l_o, l_o, 1.0 / binom, 0.0, frac / binom, row2_server)
 
 
-def _case2ii_rows(
-    n_eff: int, k: int, m: float, n_o: int, l_o: int, l_1: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the two groups when the first group adds a second size l_1."""
-    if not 1 <= n_o <= n_eff - 1:
-        raise InvalidParameterError(f"n_o={n_o} outside 1..{n_eff - 1}")
-    if l_1 == l_o or not (1 <= l_o <= k and 1 <= l_1 <= k):
-        raise InfeasibleCaseError("need distinct cache-subgroup sizes l_o != l_1 in 1..K")
+def _case2ii(k: int, m: float, n_eff: int, n_o, l_o, l_1):
+    """Feasibility and rows when the first group adds a second size l_1 (case 2.ii).
+
+    Admissible when l_o != l_1 and either l_o > K*m/n_eff, l_1 < K*m/n_o
+    (C1) or l_o < K*m/n_eff, l_1 > K*m/n_o (C2); the tuple must not be
+    singular (l_1*n_o = l_o*n_eff) and every nominally positive entry must
+    exceed STRICT_TOL.
+    """
     km = k * m
-    c1 = l_o > km / n_eff and l_1 < km / n_o
-    c2 = l_o < km / n_eff and l_1 > km / n_o
-    if not (c1 or c2):
-        raise InfeasibleCaseError("(l_o, l_1) satisfies neither admissibility condition")
-    q = l_1 * n_o / (l_o * n_eff)
+    admissible = (l_1 != l_o) & (
+        ((l_o > km / n_eff) & (l_1 < km / n_o)) | ((l_o < km / n_eff) & (l_1 > km / n_o))
+    )
+    q = np.divide(l_1 * n_o, l_o * n_eff)
     denom = 1.0 - q
-    if abs(denom) < STRICT_TOL:
-        raise InfeasibleCaseError("l_1 * n_o == l_o * n_eff (singular tuple)")
     ratio = km / (l_o * n_eff)
-    a_lo = (ratio - q) / denom / binom_ext(k, l_o)
-    a_l1 = (1.0 - ratio) / denom / binom_ext(k, l_1)
-    a_0 = (1.0 - ratio) / denom
-    if min(a_lo, a_l1, a_0) <= STRICT_TOL:
-        raise InfeasibleCaseError("a nominally positive entry is nonpositive")
-    row1 = np.zeros(k + 1)
-    row1[l_o] = a_lo
-    row1[l_1] = a_l1
-    row2 = np.zeros(k + 1)
-    row2[l_o] = a_lo
-    row2[0] = a_0
-    return row1, row2
+    binoms = partition_weights(k)
+    with np.errstate(divide="ignore", invalid="ignore"):  # singular tuples are masked
+        a_lo = (ratio - q) / denom / binoms[l_o]
+        a_0 = (1.0 - ratio) / denom
+        a_l1 = a_0 / binoms[l_1]
+    ok = (
+        admissible
+        & (np.abs(denom) >= STRICT_TOL)
+        & (a_lo > STRICT_TOL)
+        & (a_l1 > STRICT_TOL)
+        & (a_0 > STRICT_TOL)
+    )
+    return ok, _Rows(n_o, n_eff, l_o, l_1, a_lo, a_l1, a_lo, a_0)
 
 
-def _build_matrix(
-    n: int, k: int, row1: np.ndarray, n_o: int, row2: np.ndarray | None, n_eff: int
-) -> PlacementMatrix:
-    """Stack group rows: row1 for files 1..n_o, row2 up to n_eff, server-only after."""
+def _rate(pref: np.ndarray, r: _Rows):
+    """sum_{n,l} g_{n,l} a_{n,l} of the rows; pref[i] sums the first i rows of g."""
+    return (
+        pref[r.n_o, r.s] * r.x
+        + pref[r.n_o, r.t] * r.y
+        + (pref[r.n_eff, r.s] - pref[r.n_o, r.s]) * r.z
+        + (pref[r.n_eff, 0] - pref[r.n_o, 0]) * r.w
+        + (pref[-1, 0] - pref[r.n_eff, 0])
+    )
+
+
+def _matrix(n: int, k: int, r: _Rows) -> PlacementMatrix:
     a = np.zeros((n, k + 1))
-    a[:n_o] = row1
-    if row2 is not None:
-        a[n_o:n_eff] = row2
-    a[n_eff:, 0] = 1.0
+    a[: r.n_o, r.s] = r.x
+    a[: r.n_o, r.t] += r.y
+    a[r.n_o : r.n_eff, r.s] = r.z
+    a[r.n_o : r.n_eff, 0] = r.w
+    a[r.n_eff :, 0] = 1.0
     return PlacementMatrix(n, k, a)
+
+
+def _check_tuple(n_files: int, k_users: int, n_o: int, *sizes: int) -> None:
+    if not 1 <= n_o <= n_files - 1:
+        raise InvalidParameterError(f"n_o={n_o} outside 1..{n_files - 1}")
+    if not all(1 <= size <= k_users for size in sizes):
+        raise InfeasibleCaseError(f"cache-subgroup sizes {sizes} must lie in 1..{k_users}")
 
 
 def one_group_placement(n_files: int, k_users: int, cache: float) -> PlacementMatrix:
     """Identical rows for all files (the uniform-popularity optimum)."""
-    row = _one_group_row(n_files, k_users, cache)
-    return _build_matrix(n_files, k_users, row, n_files, None, n_files)
+    if not 0.0 <= cache <= n_files:
+        raise InvalidParameterError(f"cache size {cache!r} outside [0, {n_files}]")
+    _, rows = _zero_tail(k_users, cache, n_files)
+    return _matrix(n_files, k_users, rows)
 
 
 def case2i_placement(
     n_files: int, k_users: int, cache: float, n_o: int, l_o: int
 ) -> PlacementMatrix:
     """Two-group placement with a shared subset size (case 2.i)."""
-    row1, row2 = _case2i_rows(n_files, k_users, cache, n_o, l_o)
-    return _build_matrix(n_files, k_users, row1, n_o, row2, n_files)
+    _check_tuple(n_files, k_users, n_o, l_o)
+    ok, rows = _case2i(k_users, cache, n_files, n_o, l_o)
+    if not ok:
+        raise InfeasibleCaseError(f"(n_o={n_o}, l_o={l_o}) is not a feasible case-2.i tuple")
+    return _matrix(n_files, k_users, rows)
 
 
 def case2ii_placement(
     n_files: int, k_users: int, cache: float, n_o: int, l_o: int, l_1: int
 ) -> PlacementMatrix:
     """Two-group placement with an extra subset size in the first group (case 2.ii)."""
-    row1, row2 = _case2ii_rows(n_files, k_users, cache, n_o, l_o, l_1)
-    return _build_matrix(n_files, k_users, row1, n_o, row2, n_files)
+    _check_tuple(n_files, k_users, n_o, l_o, l_1)
+    ok, rows = _case2ii(k_users, cache, n_files, n_o, l_o, l_1)
+    if not ok:
+        raise InfeasibleCaseError(
+            f"(n_o={n_o}, l_o={l_o}, l_1={l_1}) is not a feasible case-2.ii tuple"
+        )
+    return _matrix(n_files, k_users, rows)
 
 
 # ---------------------------------------------------------------------------
 # Candidate search
 
 
-@dataclass
-class _Entry:
-    rate: float
-    key: tuple
-    case_id: PlacementCase
-    n_o: int | None
-    n_1: int | None
-    l_o: int | None
-    l_1: int | None
-    row1: np.ndarray
-    row2: np.ndarray | None
-    n_eff: int
+def _near_minimum(found, pref, ok, rows: _Rows, case, n_1, l_1) -> list[tuple[float, tuple]]:
+    """(rate, key) of a block's feasible candidates within TIE_TOL of its minimum.
+
+    A block is one family's broadcast; keys take n_o and l_o (the subset
+    size s of every family) from its rows.  The set rule needs no more: a
+    candidate within TIE_TOL of the overall minimum is within TIE_TOL of
+    its own block's minimum, and a block whose minimum exceeds every rate
+    already ``found`` by more than TIE_TOL holds none.
+    """
+    rate = np.where(ok, _rate(pref, rows), np.inf)
+    low = rate.min(initial=np.inf)
+    if low == np.inf or low > min((r for r, _ in found), default=np.inf) + TIE_TOL:
+        return []
+    hits = rate <= low + TIE_TOL
+    columns = np.broadcast_arrays(rate, _GROUPS[case], rows.n_o, n_1, rows.s, l_1, case)
+    return [(value, tuple(key)) for value, *key in zip(*(c[hits].tolist() for c in columns))]
 
 
-class _Best:
-    """Minimum-rate reduction with the documented deterministic tie-break."""
-
-    def __init__(self):
-        self.entry: _Entry | None = None
-
-    def offer(self, entry: _Entry) -> None:
-        cur = self.entry
-        if cur is None or entry.rate < cur.rate - TIE_TOL:
-            self.entry = entry
-        elif entry.rate <= cur.rate + TIE_TOL and entry.key < cur.key:
-            self.entry = entry
-
-
-def _key(case_id, n_o=None, n_1=None, l_o=None, l_1=None) -> tuple:
-    absent = _ABSENT
-    return (
-        _NOMINAL_GROUPS[case_id],
-        n_o if n_o is not None else absent,
-        n_1 if n_1 is not None else absent,
-        l_o if l_o is not None else absent,
-        l_1 if l_1 is not None else absent,
+def _candidate(n: int, k: int, m: float, rate: float, key: tuple) -> CandidateSolution:
+    """Materialize the winning key from the same closed forms, on scalars."""
+    _, n_o, n_1, l_o, l_1, case = key
+    n_eff = n if n_1 == _ABSENT else n_1
+    if _CASES[case] in (PlacementCase.ONE_GROUP, PlacementCase.TWO_GROUP_ZERO_TAIL):
+        _, rows = _zero_tail(k, m, n_o)
+    elif l_1 == _ABSENT:
+        _, rows = _case2i(k, m, n_eff, n_o, l_o)
+    else:
+        _, rows = _case2ii(k, m, n_eff, n_o, l_o, l_1)
+    return CandidateSolution(
+        _matrix(n, k, rows), rate, _CASES[case], n_o,
+        None if n_1 == _ABSENT else n_1, l_o, None if l_1 == _ABSENT else l_1,
     )
-
-
-class _Search:
-    def __init__(self, model: PopularityModel, k_users: int, cache: float, coeffs: RateCoefficients):
-        self.model = model
-        self.k = k_users
-        self.m = cache
-        self.coeffs = coeffs
-        n = model.n_files
-        # gpref[i] = sum of the first i coefficient rows; candidate rates are
-        # group-row dot products against prefix differences.
-        self.gpref = np.zeros((n + 1, k_users + 1))
-        np.cumsum(coeffs.g, axis=0, out=self.gpref[1:])
-
-    def rate(self, row1, n_o, row2, n_eff) -> float:
-        n = self.model.n_files
-        value = float(np.dot(self.gpref[n_o], row1))
-        if row2 is not None:
-            value += float(np.dot(self.gpref[n_eff] - self.gpref[n_o], row2))
-        value += float(self.gpref[n, 0] - self.gpref[n_eff, 0])
-        return value
-
-    def materialize(self, entry: _Entry) -> CandidateSolution:
-        assert entry.n_o is not None
-        placement = _build_matrix(
-            self.model.n_files, self.k, entry.row1, entry.n_o, entry.row2, entry.n_eff
-        )
-        return CandidateSolution(
-            placement, entry.rate, entry.case_id, entry.n_o, entry.n_1, entry.l_o, entry.l_1
-        )
-
-    def _skip_boundary(self, probs, boundary: int, prune: bool) -> bool:
-        """Equal-popularity pruning: group borders only where popularity drops."""
-        return prune and probs[boundary - 1] == probs[boundary]
-
-    def search_zero_tail(self, prune: bool) -> _Entry | None:
-        """Extended two-group family: cached head, server-only tail (n_o = N: one group)."""
-        n, probs = self.model.n_files, self.model.probs
-        best = _Best()
-        for n_o in range(1, n + 1):
-            if self.m > n_o:
-                continue  # cache cannot exceed the cached-group size
-            if n_o < n and self._skip_boundary(probs, n_o, prune):
-                continue
-            row1 = _one_group_row(n_o, self.k, self.m)
-            case = PlacementCase.ONE_GROUP if n_o == n else PlacementCase.TWO_GROUP_ZERO_TAIL
-            l_o = min(int(math.floor(self.k * self.m / n_o)), self.k)
-            best.offer(
-                _Entry(
-                    self.rate(row1, n_o, None, n_o),
-                    _key(case, n_o=n_o, l_o=l_o),
-                    case,
-                    n_o,
-                    None,
-                    l_o,
-                    None,
-                    row1,
-                    None,
-                    n_o,
-                )
-            )
-        return best.entry
-
-    def search_two_group(self, n_eff: int, prune: bool, n_1: int | None = None) -> _Entry | None:
-        """Partly-cached-tail family over the first n_eff files.
-
-        With n_eff < N this is the inner search of the three-group family:
-        all closed forms use n_eff in place of N and files beyond n_eff
-        form the server-only third group.
-        """
-        k, m, probs = self.k, self.m, self.model.probs
-        three = n_1 is not None
-        case_i = PlacementCase.THREE_GROUP_CASE1 if three else PlacementCase.TWO_GROUP_CASE2I
-        case_ii = PlacementCase.THREE_GROUP_CASE2 if three else PlacementCase.TWO_GROUP_CASE2II
-        km = k * m
-        best = _Best()
-
-        def offer(case, n_o, l_o, l_1, rows):
-            row1, row2 = rows
-            best.offer(
-                _Entry(
-                    self.rate(row1, n_o, row2, n_eff),
-                    _key(case, n_o=n_o, n_1=n_1, l_o=l_o, l_1=l_1),
-                    case,
-                    n_o,
-                    n_1,
-                    l_o,
-                    l_1,
-                    row1,
-                    row2,
-                    n_eff,
-                )
-            )
-
-        for n_o in range(1, n_eff):
-            if self._skip_boundary(probs, n_o, prune):
-                continue
-            lo_floor = int(math.floor(km / n_eff))
-            l1_cap = min(k, int(math.ceil(km / n_o)) - 1)
-            for l_o in range(lo_floor + 1, l1_cap + 1):
-                try:
-                    offer(case_i, n_o, l_o, None, _case2i_rows(n_eff, k, m, n_o, l_o))
-                except InfeasibleCaseError:
-                    continue
-            for l_o in range(lo_floor + 1, k + 1):
-                for l_1 in range(1, l1_cap + 1):
-                    if l_1 == l_o:
-                        continue
-                    try:
-                        offer(case_ii, n_o, l_o, l_1, _case2ii_rows(n_eff, k, m, n_o, l_o, l_1))
-                    except InfeasibleCaseError:
-                        continue
-            for l_o in range(1, lo_floor + 1):
-                for l_1 in range(int(math.ceil(km / n_o)), k + 1):
-                    if l_1 == l_o:
-                        continue
-                    try:
-                        offer(case_ii, n_o, l_o, l_1, _case2ii_rows(n_eff, k, m, n_o, l_o, l_1))
-                    except InfeasibleCaseError:
-                        continue
-        return best.entry
-
-
-def _make_search(model, k_users, cache, coeffs=None) -> _Search:
-    if coeffs is None:
-        coeffs = rate_coefficients(model, order_stats(model, k_users))
-    return _Search(model, k_users, cache, coeffs)
 
 
 def _check_cache(model, cache) -> None:
@@ -386,107 +305,88 @@ def _check_cache(model, cache) -> None:
         raise InvalidParameterError(f"cache size {cache!r} outside [0, {model.n_files}]")
 
 
-def algorithm1(
+def _search(
     model: PopularityModel,
-    k_users: int,
-    cache: float,
+    k: int,
+    m: float,
+    coeffs: RateCoefficients | None,
     *,
-    coeffs: RateCoefficients | None = None,
-    prune_equal_popularity: bool = False,
+    zero_tail: bool = False,
+    two_group: bool = False,
+    three_group: bool = False,
+) -> CandidateSolution | None:
+    """Set-rule winner over the requested families, or None when none is feasible.
+
+    The three-group family runs the two-group closed forms on the first
+    n_1 files; the cached groups must jointly hold at least the cache
+    worth of files, so n_1 ranges over max(2, floor(M) + 1)..N-1.
+    """
+    _check_cache(model, m)
+    if coeffs is None:
+        coeffs = rate_coefficients(model, order_stats(model, k))
+    n = model.n_files
+    pref = np.zeros((n + 1, k + 1))
+    np.cumsum(coeffs.g, axis=0, out=pref[1:])
+    n_effs = ([n] if two_group else []) + (
+        list(range(max(2, math.floor(m) + 1), n)) if three_group else []
+    )
+    sizes = np.arange(1, k + 1)
+    found = []
+    with np.errstate(divide="ignore", invalid="ignore"):  # rates of masked tuples
+        if zero_tail:
+            n_o = np.arange(1, n + 1)
+            ok, rows = _zero_tail(k, m, n_o)
+            case = np.where(
+                n_o == n, _INDEX[PlacementCase.ONE_GROUP], _INDEX[PlacementCase.TWO_GROUP_ZERO_TAIL]
+            )
+            found += _near_minimum(found, pref, ok, rows, case, _ABSENT, _ABSENT)
+        for n_eff in n_effs:
+            if n_eff == n:
+                n_1, case_i = _ABSENT, _INDEX[PlacementCase.TWO_GROUP_CASE2I]
+            else:
+                n_1, case_i = n_eff, _INDEX[PlacementCase.THREE_GROUP_CASE1]
+            n_o = np.arange(1, n_eff)[:, None]
+            ok, rows = _case2i(k, m, n_eff, n_o, sizes)
+            found += _near_minimum(found, pref, ok, rows, case_i, n_1, _ABSENT)
+            ok, rows = _case2ii(k, m, n_eff, n_o[:, :, None], sizes[:, None], sizes)
+            # case 2.ii follows case 2.i in PlacementCase
+            found += _near_minimum(found, pref, ok, rows, case_i + 1, n_1, rows.t)
+    if not found:
+        return None
+    low = min(rate for rate, _ in found)
+    rate, key = min((c for c in found if c[0] <= low + TIE_TOL), key=lambda c: c[1])
+    return _candidate(n, k, m, rate, key)
+
+
+def algorithm1(
+    model: PopularityModel, k_users: int, cache: float, *, coeffs: RateCoefficients | None = None
 ) -> CandidateSolution:
     """Best candidate of the zero-tail family (one group included as n_o = N)."""
-    _check_cache(model, cache)
-    search = _make_search(model, k_users, cache, coeffs)
-    entry = search.search_zero_tail(prune_equal_popularity)
-    if entry is None:
-        raise InvalidParameterError("no feasible head size: cache exceeds every group size")
-    return search.materialize(entry)
+    return _search(model, k_users, cache, coeffs, zero_tail=True)
 
 
 def algorithm2(
-    model: PopularityModel,
-    k_users: int,
-    cache: float,
-    *,
-    coeffs: RateCoefficients | None = None,
-    prune_equal_popularity: bool = False,
+    model: PopularityModel, k_users: int, cache: float, *, coeffs: RateCoefficients | None = None
 ) -> CandidateSolution | None:
     """Best strict two-group candidate with a partly cached tail, or None."""
-    _check_cache(model, cache)
-    search = _make_search(model, k_users, cache, coeffs)
-    entry = search.search_two_group(model.n_files, prune_equal_popularity)
-    return search.materialize(entry) if entry is not None else None
+    return _search(model, k_users, cache, coeffs, two_group=True)
 
 
 def algorithm3(
-    model: PopularityModel,
-    k_users: int,
-    cache: float,
-    *,
-    coeffs: RateCoefficients | None = None,
-    prune_equal_popularity: bool = False,
+    model: PopularityModel, k_users: int, cache: float, *, coeffs: RateCoefficients | None = None
 ) -> CandidateSolution | None:
     """Best three-group candidate, or None when the n_1 range is empty.
 
     The cached groups must jointly hold at least the cache worth of
     files, so n_1 starts at max(2, floor(M) + 1).
     """
-    _check_cache(model, cache)
-    search = _make_search(model, k_users, cache, coeffs)
-    best = _Best()
-    prune = prune_equal_popularity
-    for n_1 in range(max(2, int(math.floor(cache)) + 1), model.n_files):
-        if prune and model.probs[n_1 - 1] == model.probs[n_1]:
-            continue
-        entry = search.search_two_group(n_1, prune, n_1=n_1)
-        if entry is not None:
-            best.offer(entry)
-    return search.materialize(best.entry) if best.entry is not None else None
+    return _search(model, k_users, cache, coeffs, three_group=True)
 
 
 def algorithm4(
-    model: PopularityModel,
-    k_users: int,
-    cache: float,
-    *,
-    coeffs: RateCoefficients | None = None,
-    prune_equal_popularity: bool = False,
+    model: PopularityModel, k_users: int, cache: float, *, coeffs: RateCoefficients | None = None
 ) -> CandidateSolution:
     """Global optimum: minimum-rate candidate over all three families."""
-    _check_cache(model, cache)
-    if coeffs is None:
-        coeffs = rate_coefficients(model, order_stats(model, k_users))
-    search = _Search(model, k_users, cache, coeffs)
-    if cache == 0.0 or cache == float(model.n_files):
-        row = _one_group_row(model.n_files, k_users, cache)
-        n = model.n_files
-        l_o = 0 if cache == 0.0 else k_users
-        entry = _Entry(
-            search.rate(row, n, None, n),
-            _key(PlacementCase.ONE_GROUP, n_o=n, l_o=l_o),
-            PlacementCase.ONE_GROUP,
-            n,
-            None,
-            l_o,
-            None,
-            row,
-            None,
-            n,
-        )
-        return search.materialize(entry)
-    prune = prune_equal_popularity
-    best = _Best()
-    zero_tail = search.search_zero_tail(prune)
-    if zero_tail is None:
-        raise InvalidParameterError("no feasible candidate; check cache size")
-    best.offer(zero_tail)
-    two = search.search_two_group(model.n_files, prune)
-    if two is not None:
-        best.offer(two)
-    for n_1 in range(max(2, int(math.floor(cache)) + 1), model.n_files):
-        if prune and model.probs[n_1 - 1] == model.probs[n_1]:
-            continue
-        entry = search.search_two_group(n_1, prune, n_1=n_1)
-        if entry is not None:
-            best.offer(entry)
-    return search.materialize(best.entry)
+    return _search(
+        model, k_users, cache, coeffs, zero_tail=True, two_group=True, three_group=True
+    )

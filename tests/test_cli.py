@@ -97,6 +97,28 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["case"] == "two_group_zero_tail"
 
+    def test_missing_users_is_config_error(self, capsys):
+        code, _, err = run_cli(capsys, "solve", "--N", "9", "--zipf", "1.5", "--M", "1")
+        assert code == 2 and "K" in err
+
+    @pytest.mark.parametrize("config", [
+        {"N": 9, "K": "seven", "M": 1, "popularity": {"type": "zipf", "theta": 1.5}},
+        {"N": 9, "K": 7, "M": 1, "popularity": {"type": "zipf"}},
+    ])
+    def test_bad_config_is_config_error(self, capsys, tmp_path, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, "solve", "--config", str(path))
+        assert code == 2 and "error:" in err
+
+    def test_library_bug_is_not_a_config_error(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("library bug")
+
+        monkeypatch.setattr("codedcache.cli.algorithm4", broken)
+        with pytest.raises(TypeError, match="library bug"):
+            main(["solve", "--N", "9", "--K", "7", "--zipf", "1.5", "--M", "1"])
+
     def test_flags_override_config(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from codedcache.errors import InfeasibleCaseError, InvalidParameterError
 from codedcache.placement import (
@@ -22,7 +24,7 @@ from codedcache.solver import (
 )
 
 from golden import GOLDEN_CASES, GOLDEN_PLACEMENTS
-from oracles import random_popularity
+from oracles import candidate_search_exhaustive, random_popularity
 
 ZIPF9 = make_zipf(9, 1.5)
 
@@ -242,8 +244,10 @@ class TestAlgorithm4:
     def test_shortcut_endpoints(self):
         none = algorithm4(ZIPF9, 7, 0.0)
         assert none.case_id is PlacementCase.ONE_GROUP and none.rate == pytest.approx(7.0)
+        assert none.l_o == 0
         full = algorithm4(ZIPF9, 7, 9.0)
         assert full.case_id is PlacementCase.ONE_GROUP and full.rate == pytest.approx(0.0)
+        assert full.l_o == 7
 
     def test_rejects_cache_out_of_range(self):
         with pytest.raises(InvalidParameterError):
@@ -271,24 +275,72 @@ class TestAlgorithm4:
                 assert cached[1] - cached[0] == 1
 
 
-class TestEqualPopularityPruning:
-    def test_same_result_with_and_without(self):
-        model = make_step([("5/9", 1), ("1/30", 10), ("1/90", 10)])
-        for m in (1.0, 2.0, 3.5, 8.0, 15.0):
-            plain = algorithm4(model, 12, m)
-            pruned = algorithm4(model, 12, m, prune_equal_popularity=True)
-            assert plain.case_id == pruned.case_id
-            assert (plain.n_o, plain.n_1, plain.l_o, plain.l_1) == (
-                pruned.n_o, pruned.n_1, pruned.l_o, pruned.l_1,
-            )
-            assert plain.rate == pytest.approx(pruned.rate, abs=1e-12)
-            assert np.array_equal(plain.placement.a, pruned.placement.a)
+class TestStepPopularity:
+    # tuples frozen from the sequential search this package shipped first
+    STEP21 = make_step([("5/9", 1), ("1/30", 10), ("1/90", 10)])
+    FROZEN = {
+        1.0: ("three_group_case2", 1, 11, 3, 11),
+        2.0: ("three_group_case2", 1, 11, 3, 11),
+        3.5: ("two_group_zero_tail", 11, None, 3, None),
+        8.0: ("one_group", 21, None, 4, None),
+        15.0: ("one_group", 21, None, 8, None),
+    }
+
+    @pytest.mark.parametrize("m", sorted(FROZEN))
+    def test_frozen_tuples(self, m):
+        candidate = algorithm4(self.STEP21, 12, m)
+        assert (candidate.case_id.value, candidate.n_o, candidate.n_1,
+                candidate.l_o, candidate.l_1) == self.FROZEN[m]
+        for boundary in analyze_groups(candidate.placement).boundaries:
+            assert self.STEP21.probs[boundary - 1] > self.STEP21.probs[boundary]
 
     def test_group_borders_fall_on_popularity_drops(self):
         model = make_step([("0.5", 1), ("0.125", 4)])
-        candidate = algorithm4(model, 4, 2.0, prune_equal_popularity=True)
+        candidate = algorithm4(model, 4, 2.0)
         for boundary in analyze_groups(candidate.placement).boundaries:
             assert model.probs[boundary - 1] > model.probs[boundary]
+
+
+@st.composite
+def search_instances(draw):
+    n = draw(st.integers(2, 10))
+    k = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["zipf", "custom", "uniform", "step"]))
+    if kind == "zipf":
+        model = make_zipf(n, draw(st.floats(0.0, 2.5)))
+    elif kind == "custom":
+        weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+        model = make_custom([w / sum(weights) for w in weights])
+    elif kind == "uniform":
+        model = make_custom([f"1/{n}"] * n)
+    else:
+        head = draw(st.integers(1, n - 1))
+        weight = draw(st.integers(2, 6))
+        total = head * weight + n - head
+        model = make_step([(f"{weight}/{total}", head), (f"1/{total}", n - head)])
+    m = draw(st.one_of(
+        st.just(0.0), st.just(float(n)),
+        st.integers(0, 2 * n).map(lambda j: j / 2), st.floats(0.0, float(n)),
+    ))
+    return model, k, m
+
+
+@seed(1912)
+@settings(max_examples=200, deadline=None, database=None)
+@given(search_instances())
+def test_search_matches_exhaustive_oracle(instance):
+    model, k, m = instance
+    coeffs = coeffs_for(model, k)
+    for algo, family in ((algorithm1, "zero_tail"), (algorithm2, "two_group"),
+                         (algorithm3, "three_group"), (algorithm4, None)):
+        got = algo(model, k, m, coeffs=coeffs)
+        want = candidate_search_exhaustive(model, k, m, family)
+        assert (got is None) == (want is None)
+        if got is not None:
+            case, tup, rate = want
+            assert got.case_id.value == case
+            assert (got.n_o, got.n_1, got.l_o, got.l_1) == tup
+            assert abs(got.rate - rate) <= 1e-12
 
 
 def test_candidate_json_shape():
