@@ -23,22 +23,8 @@ import numpy as np
 
 from . import popularity
 from .bounds import bound_exhaustive, bound_proposed, bound_two_group
-from .delivery import (
-    minimal_file_size,
-    monte_carlo_rate,
-    random_library,
-    realize,
-    sample_demands,
-    serve,
-)
-from .delivery import decode as delivery_decode
-from .errors import (
-    CodedCacheError,
-    DecodeError,
-    InstanceTooLargeError,
-    InvalidParameterError,
-)
-from .lp_oracle import OPT_TOL, ORACLE_GUARD_VARS, certify
+from .errors import CodedCacheError, InstanceTooLargeError, InvalidParameterError
+from .lp_oracle import verify_instance
 from .placement import (
     PlacementMatrix,
     average_rate,
@@ -82,9 +68,10 @@ def _parse_step_levels(text: str) -> list[tuple[str, int]]:
     levels = []
     for chunk in text.split(","):
         prob, _, count = chunk.partition("x")
-        if not count:
-            raise InvalidParameterError(f"bad step level {chunk!r}, expected PROBxCOUNT")
-        levels.append((prob.strip(), int(count)))
+        try:
+            levels.append((prob.strip(), int(count)))
+        except ValueError as exc:
+            raise InvalidParameterError(f"bad step level {chunk!r}, expected PROBxCOUNT") from exc
     return levels
 
 
@@ -265,52 +252,6 @@ def cmd_subpkt(args) -> int:
     return EXIT_OK
 
 
-def _verify_instance(model, k: int, m: float, trials: int, seed: int, demands: int) -> list[tuple[str, bool, str]]:
-    """certify + Monte Carlo + bit-exact decode; returns (name, ok, detail) rows."""
-    checks = []
-    report = certify(model, k, m)
-    s = report.structural
-    checks.append(("lp_gap", abs(report.gap) <= OPT_TOL, f"|gap|={abs(report.gap):.3e}"))
-    checks.append(("file_groups<=3", s.alg_groups <= 3, f"groups={s.alg_groups}"))
-    checks.append(
-        ("row_nonzeros<=2", s.alg_max_nonzeros_per_row <= 2, f"max={s.alg_max_nonzeros_per_row}")
-    )
-    checks.append(
-        ("cache_equality", abs(s.alg_cache_residual) <= 1e-9, f"residual={s.alg_cache_residual:.3e}")
-    )
-    checks.append(
-        ("popularity_first", report.candidate.placement.is_popularity_first(), "")
-    )
-    checks.append(("subpacketization_bound", s.alg_subpacketization_ok, ""))
-    checks.append(("lp_nonnegativity", s.lp_min_entry >= -1e-8, f"min={s.lp_min_entry:.3e}"))
-
-    mc = monte_carlo_rate(report.candidate.placement, model, trials, seed)
-    margin = 5.0 * mc.std_error + 1e-9 * k
-    checks.append(
-        (
-            "monte_carlo",
-            abs(mc.mean_rate - report.alg_rate) <= margin,
-            f"mc={mc.mean_rate:.6g} analytic={report.alg_rate:.6g} stderr={mc.std_error:.2g}",
-        )
-    )
-
-    f_bits = minimal_file_size(report.candidate.placement)
-    library = random_library(model.n_files, f_bits, seed)
-    realization = realize(report.candidate.placement, library)
-    decoded = True
-    try:
-        for row in sample_demands(model, k, demands, seed + 1):
-            transcript = serve(realization, row)
-            for user in range(1, k + 1):
-                delivery_decode(realization, transcript, user)
-    except DecodeError as exc:
-        decoded = False
-        checks.append(("bit_exact_decode", False, str(exc)))
-    if decoded:
-        checks.append(("bit_exact_decode", True, f"{demands} demands, F={f_bits} bits"))
-    return checks
-
-
 def _check_placement_file(args, config) -> int:
     data = json.loads(Path(args.placement).read_text())
     matrix = PlacementMatrix.from_json_dict(data)
@@ -330,6 +271,7 @@ def cmd_verify(args) -> int:
 
     seed = _setting(args, config, "seed", default=20240)
     trials = _setting(args, config, "trials", default=20000)
+    demands = _setting(args, config, "demands", default=20)
     batch = _setting(args, config, "batch")
     instances = []
     if batch is None:
@@ -338,10 +280,6 @@ def cmd_verify(args) -> int:
         m = _setting(args, config, "M", float)
         if m is None:
             raise InvalidParameterError("verify needs --M (or --batch / --placement)")
-        if model.n_files * (k + 1) > ORACLE_GUARD_VARS:
-            raise InstanceTooLargeError(
-                f"{model.n_files * (k + 1)} variables exceed the oracle guard"
-            )
         instances.append((model, k, m))
     else:
         rng = np.random.default_rng(seed)
@@ -356,32 +294,26 @@ def cmd_verify(args) -> int:
     failures = 0
     for index, (model, k, m) in enumerate(instances):
         label = f"[{index}] N={model.n_files} K={k} M={m:g}"
-        checks = _verify_instance(
-            model, k, m, trials=trials, seed=seed + index, demands=args.demands
-        )
-        for name, ok, detail in checks:
-            if not ok or batch is None:
-                print(f"{'PASS' if ok else 'FAIL'} {label} {name} {detail}".rstrip())
-            failures += 0 if ok else 1
-        if batch is not None and all(ok for _, ok, _ in checks):
+        checks = verify_instance(model, k, m, trials=trials, seed=seed + index, demands=demands)
+        for check in checks:
+            if not check.ok or batch is None:
+                print(f"{'PASS' if check.ok else 'FAIL'} {label} {check.name} {check.detail}".rstrip())
+            failures += 0 if check.ok else 1
+        if batch is not None and all(check.ok for check in checks):
             print(f"PASS {label}")
     print(f"verify: {len(instances)} instance(s), {failures} failed check(s)")
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags every subcommand reads: the instance, its popularity and a config."""
     parser.add_argument("--N", type=int, help="number of files")
     parser.add_argument("--K", type=int, help="number of users")
     parser.add_argument("--M", type=_fraction, help="cache size per user (real, may be a fraction)")
-    parser.add_argument("--M-grid", dest="M_grid", help="cache grid lo:hi:step")
     parser.add_argument("--zipf", type=float, help="Zipf exponent theta")
     parser.add_argument("--probs", help="comma-separated popularity values (fractions allowed)")
     parser.add_argument("--step", help="step popularity PROBxCOUNT[,PROBxCOUNT...]")
     parser.add_argument("--config", help="JSON config file (same keys as the flags)")
-    parser.add_argument("--seed", type=int, help="base RNG seed")
-    parser.add_argument("--trials", type=int, help="Monte Carlo trials")
-    parser.add_argument("--out", help="output path (stem or .json/.csv)")
-    parser.add_argument("--format", dest="format", choices=("json", "csv"), help="stdout format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,22 +324,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="optimal placement for one instance")
-    _add_common(p_solve)
+    _add_instance_flags(p_solve)
+    p_solve.add_argument("--out", help="output path (stem or .json/.csv)")
+    p_solve.add_argument("--format", choices=("json", "csv"), help="stdout format")
     p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="rate and bound curves over a cache grid")
-    _add_common(p_sweep)
+    _add_instance_flags(p_sweep)
+    p_sweep.add_argument("--M-grid", help="cache grid lo:hi:step")
+    p_sweep.add_argument("--out", help="output CSV path")
     p_sweep.add_argument("--jobs", type=int, help="parallel worker processes (default 1)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_subpkt = sub.add_parser("subpkt", help="subpacketization over a cache grid")
-    _add_common(p_subpkt)
+    _add_instance_flags(p_subpkt)
+    p_subpkt.add_argument("--M-grid", help="cache grid lo:hi:step")
+    p_subpkt.add_argument("--out", help="output CSV path")
     p_subpkt.set_defaults(func=cmd_subpkt)
 
     p_verify = sub.add_parser("verify", help="certification and simulation checks")
-    _add_common(p_verify)
+    _add_instance_flags(p_verify)
+    p_verify.add_argument("--seed", type=int, help="base RNG seed (default 20240)")
+    p_verify.add_argument("--trials", type=int, help="Monte Carlo trials (default 20000)")
     p_verify.add_argument("--batch", type=int, help="number of seeded random instances")
-    p_verify.add_argument("--demands", type=int, default=20, help="decode-test demands per instance")
+    p_verify.add_argument("--demands", type=int, help="decode-test demands per instance (default 20)")
     p_verify.add_argument("--placement", help="check a placement JSON file against the invariants")
     p_verify.set_defaults(func=cmd_verify)
     return parser

@@ -1,4 +1,5 @@
-"""Independent optimality certification via a dense two-phase simplex.
+"""Independent optimality certification via a dense two-phase simplex,
+and the checks of ``codedcache verify`` built on it.
 
 The placement problem is a linear program: minimize the rate functional
 subject to per-file partition equalities, the global cache equality,
@@ -15,7 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InstanceTooLargeError, InvalidParameterError, SolverStalledError
+from .delivery import (
+    decode,
+    minimal_file_size,
+    monte_carlo_rate,
+    random_library,
+    realize,
+    sample_demands,
+    serve,
+)
+from .errors import (
+    DecodeError,
+    InstanceTooLargeError,
+    InvalidParameterError,
+    SolverStalledError,
+)
 from .placement import (
     ZERO_TOL,
     PlacementMatrix,
@@ -201,46 +216,20 @@ def solve(lp: LinearProgram, max_iter: int = MAX_ITERATIONS) -> LpSolution:
 
 
 @dataclass(frozen=True)
-class StructuralReport:
-    """Structure of both optima: group counts, row sparsity, constraint slack."""
-
-    alg_groups: int
-    alg_max_nonzeros_per_row: int
-    alg_cache_residual: float
-    alg_subpacketization_ok: bool
-    lp_groups: int
-    lp_max_nonzeros_per_row: int
-    lp_min_entry: float
-    lp_cache_residual: float
-    lp_vertex_canonical: bool
-
-
-@dataclass(frozen=True)
 class CertificationReport:
     lp_rate: float
     alg_rate: float
     gap: float
     candidate: CandidateSolution
     lp_placement: PlacementMatrix
-    structural: StructuralReport
 
     @property
     def ok(self) -> bool:
         return abs(self.gap) <= OPT_TOL
 
 
-def _row_nonzeros(matrix: PlacementMatrix) -> int:
-    return int(np.max(np.sum(matrix.a > ZERO_TOL, axis=1)))
-
-
 def certify(model: PopularityModel, k_users: int, cache: float) -> CertificationReport:
-    """Cross-check the closed-form optimum against the LP ground truth.
-
-    Degenerate LP faces can return an alternate optimum with a different
-    grouping, so the structural guarantees are asserted on the closed-form
-    candidate (which this report certifies to be LP-optimal); the LP
-    vertex's own structure is reported alongside.
-    """
+    """Cross-check the closed-form optimum against the LP ground truth."""
     n_vars = model.n_files * (k_users + 1)
     if n_vars > ORACLE_GUARD_VARS:
         raise InstanceTooLargeError(
@@ -256,26 +245,67 @@ def certify(model: PopularityModel, k_users: int, cache: float) -> Certification
     lp_matrix = PlacementMatrix(
         model.n_files, k_users, solution.values.reshape(model.n_files, k_users + 1)
     )
-    bound, _ = worst_case_subpacketization_bound(k_users)
-    alg_groups = analyze_groups(candidate.placement).group_count
-    lp_groups = analyze_groups(lp_matrix, tol=1e-7).group_count
-    lp_nonzeros = _row_nonzeros(lp_matrix)
-    structural = StructuralReport(
-        alg_groups=alg_groups,
-        alg_max_nonzeros_per_row=_row_nonzeros(candidate.placement),
-        alg_cache_residual=candidate.placement.cache_used() - cache,
-        alg_subpacketization_ok=subpacketization(candidate.placement).max_level <= bound,
-        lp_groups=lp_groups,
-        lp_max_nonzeros_per_row=lp_nonzeros,
-        lp_min_entry=float(lp_matrix.a.min()),
-        lp_cache_residual=lp_matrix.cache_used() - cache,
-        lp_vertex_canonical=lp_groups <= 3 and lp_nonzeros <= 2,
-    )
     return CertificationReport(
         lp_rate=solution.objective_value,
         alg_rate=candidate.rate,
         gap=candidate.rate - solution.objective_value,
         candidate=candidate,
         lp_placement=lp_matrix,
-        structural=structural,
     )
+
+
+@dataclass(frozen=True)
+class Check:
+    """One named check of ``verify_instance``: its outcome and a short detail."""
+
+    name: str
+    ok: bool
+    detail: str
+
+
+def verify_instance(
+    model: PopularityModel, k_users: int, cache: float, *, trials: int, seed: int, demands: int
+) -> list[Check]:
+    """Certify, simulate and decode one instance; returns its checks in order.
+
+    Degenerate LP faces can return an alternate optimum with a different
+    grouping, so the structural results (at most three file groups, at
+    most two nonzero entries per row, cache equality, subpacketization
+    within the worst-case bound) are checked on the closed-form candidate,
+    which ``lp_gap`` certifies to be LP-optimal. Of the LP vertex only
+    the implied nonnegativity is checked.
+    """
+    report = certify(model, k_users, cache)
+    placement = report.candidate.placement
+    groups = analyze_groups(placement).group_count
+    nonzeros = int(np.max(np.sum(placement.a > ZERO_TOL, axis=1)))
+    residual = placement.cache_used() - cache
+    bound, _ = worst_case_subpacketization_bound(k_users)
+    lp_min = float(report.lp_placement.a.min())
+    mc = monte_carlo_rate(placement, model, trials, seed)
+    margin = 5.0 * mc.std_error + 1e-9 * k_users
+    checks = [
+        Check("lp_gap", report.ok, f"|gap|={abs(report.gap):.3e}"),
+        Check("file_groups<=3", groups <= 3, f"groups={groups}"),
+        Check("row_nonzeros<=2", nonzeros <= 2, f"max={nonzeros}"),
+        Check("cache_equality", abs(residual) <= 1e-9, f"residual={residual:.3e}"),
+        Check("popularity_first", placement.is_popularity_first(), ""),
+        Check("subpacketization_bound", subpacketization(placement).max_level <= bound, ""),
+        Check("lp_nonnegativity", lp_min >= -1e-8, f"min={lp_min:.3e}"),
+        Check(
+            "monte_carlo",
+            abs(mc.mean_rate - report.alg_rate) <= margin,
+            f"mc={mc.mean_rate:.6g} analytic={report.alg_rate:.6g} stderr={mc.std_error:.2g}",
+        ),
+    ]
+
+    f_bits = minimal_file_size(placement)
+    realization = realize(placement, random_library(model.n_files, f_bits, seed))
+    try:
+        for row in sample_demands(model, k_users, demands, seed + 1):
+            transcript = serve(realization, row)
+            for user in range(1, k_users + 1):
+                decode(realization, transcript, user)
+    except DecodeError as exc:
+        return checks + [Check("bit_exact_decode", False, str(exc))]
+    return checks + [Check("bit_exact_decode", True, f"{demands} demands, F={f_bits} bits")]

@@ -114,6 +114,8 @@ class PlacementMatrix:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PlacementMatrix":
+        if not isinstance(data, dict) or not {"N", "K", "a"} <= data.keys():
+            raise InvalidParameterError("placement JSON must be an object with keys N, K and a")
         return cls(int(data["N"]), int(data["K"]), np.array(data["a"], dtype=float))
 
     def to_json(self) -> str:

@@ -75,7 +75,10 @@ def make_zipf(n_files: int, theta: float) -> PopularityModel:
     """Zipf popularity: p_n proportional to n^-theta, theta >= 0."""
     if n_files < 1:
         raise InvalidParameterError("n_files must be >= 1")
-    theta = float(theta)
+    try:
+        theta = float(theta)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"theta must be a finite nonnegative real, got {theta!r}") from exc
     if not math.isfinite(theta) or theta < 0.0:
         raise InvalidParameterError(f"theta must be a finite nonnegative real, got {theta!r}")
     ranks = np.arange(1, n_files + 1, dtype=float)
@@ -86,9 +89,10 @@ def make_zipf(n_files: int, theta: float) -> PopularityModel:
 
 def _as_float(value) -> float:
     """Accept numbers or fraction strings such as '5/9'."""
-    if isinstance(value, str):
-        return float(Fraction(value))
-    return float(value)
+    try:
+        return float(Fraction(value)) if isinstance(value, str) else float(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InvalidDistributionError(f"probability {value!r} is not a number") from exc
 
 
 def make_custom(probs: Sequence) -> PopularityModel:
@@ -116,7 +120,10 @@ def make_step(levels: Sequence[tuple]) -> PopularityModel:
     """Popularity from (probability, count) steps, e.g. [(5/9, 1), (1/30, 10), ...]."""
     probs: list[float] = []
     for p, count in levels:
-        count = int(count)
+        try:
+            count = int(count)
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameterError(f"level count {count!r} is not an integer") from exc
         if count < 1:
             raise InvalidParameterError("level counts must be >= 1")
         probs.extend([_as_float(p)] * count)

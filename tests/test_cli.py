@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -8,6 +9,28 @@ import pytest
 from codedcache.cli import main
 
 from golden import GOLDEN_PLACEMENTS
+
+
+#: ``verify`` stdout, byte for byte, except the digits of the LP gap, which
+#: vary with the BLAS build.
+VERIFY_SINGLE_STDOUT = """\
+PASS [0] N=6 K=3 M=2.5 lp_gap |gap|=*
+PASS [0] N=6 K=3 M=2.5 file_groups<=3 groups=3
+PASS [0] N=6 K=3 M=2.5 row_nonzeros<=2 max=2
+PASS [0] N=6 K=3 M=2.5 cache_equality residual=0.000e+00
+PASS [0] N=6 K=3 M=2.5 popularity_first
+PASS [0] N=6 K=3 M=2.5 subpacketization_bound
+PASS [0] N=6 K=3 M=2.5 lp_nonnegativity min=0.000e+00
+PASS [0] N=6 K=3 M=2.5 monte_carlo mc=0.35525 analytic=0.373813 stderr=0.011
+PASS [0] N=6 K=3 M=2.5 bit_exact_decode 3 demands, F=2 bits
+verify: 1 instance(s), 0 failed check(s)
+"""
+VERIFY_BATCH_STDOUT = """\
+PASS [0] N=6 K=1 M=2
+PASS [1] N=2 K=4 M=1.5
+PASS [2] N=6 K=3 M=4
+verify: 3 instance(s), 0 failed check(s)
+"""
 
 
 def run_cli(capsys, *argv):
@@ -104,12 +127,25 @@ class TestSolve:
     @pytest.mark.parametrize("config", [
         {"N": 9, "K": "seven", "M": 1, "popularity": {"type": "zipf", "theta": 1.5}},
         {"N": 9, "K": 7, "M": 1, "popularity": {"type": "zipf"}},
+        {"N": 9, "K": 7, "M": 1, "popularity": {"type": "zipf", "theta": "x"}},
+        {"K": 2, "M": 1, "popularity": {"type": "step", "levels": [{"p": "1/2", "count": "two"}]}},
+        ["--N", "5", "--K", "3", "--M", "1", "--step", "5/9xabc"],
+        ["--N", "2", "--K", "3", "--M", "1", "--probs", "0.5,abc"],
     ])
     def test_bad_config_is_config_error(self, capsys, tmp_path, config):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        code, _, err = run_cli(capsys, "solve", "--config", str(path))
+        """A bad value from a config file (dict) or from flags (list) exits 2."""
+        if isinstance(config, dict):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            config = ["--config", str(path)]
+        code, _, err = run_cli(capsys, "solve", *config)
         assert code == 2 and "error:" in err
+
+    def test_unread_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--N", "2", "--K", "2", "--probs", "0.7,0.3", "--M", "1",
+                  "--trials", "5"])
+        assert exc.value.code == 2
 
     def test_library_bug_is_not_a_config_error(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
@@ -209,6 +245,29 @@ class TestVerify:
         assert code == 0
         assert out.strip().endswith("0 failed check(s)")
 
+    def test_single_instance_stdout_is_pinned(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--N", "6", "--K", "3", "--zipf", "2", "--M", "2.5",
+            "--trials", "2000", "--demands", "3", "--seed", "5",
+        )
+        assert code == 0
+        assert re.sub(r"\|gap\|=\S+", "|gap|=*", out) == VERIFY_SINGLE_STDOUT
+
+    def test_batch_stdout_is_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--batch", "3", "--seed", "3")
+        assert code == 0
+        assert out == VERIFY_BATCH_STDOUT
+
+    def test_demands_from_config(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "N": 4, "K": 3, "M": 1.5, "demands": 1, "trials": 500,
+            "popularity": {"type": "zipf", "theta": 1.0},
+        }))
+        code, out, _ = run_cli(capsys, "verify", "--config", str(config))
+        assert code == 0
+        assert "bit_exact_decode 1 demands, F=" in out
+
     def test_guard_exit_code(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", "--N", "30", "--K", "9", "--zipf", "1.0", "--M", "3"
@@ -227,6 +286,13 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--placement", str(path), "--M", "4")
         assert code == 4
         assert "FAIL placement_invariants" in out
+
+    @pytest.mark.parametrize("data", [{"N": 2}, [1]])
+    def test_malformed_placement_is_config_error(self, capsys, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "verify", "--placement", str(path), "--M", "1")
+        assert code == 2 and "error:" in err
 
     def test_intact_placement_passes(self, capsys, tmp_path):
         from codedcache.popularity import make_zipf

@@ -10,7 +10,7 @@ from codedcache.lp_oracle import (
     certify,
     solve,
 )
-from codedcache.placement import analyze_groups, rate_coefficients
+from codedcache.placement import ZERO_TOL, analyze_groups, rate_coefficients
 from codedcache.popularity import make_custom, make_zipf, order_stats
 from codedcache.solver import algorithm4, one_group_placement
 from codedcache.placement import average_rate
@@ -131,7 +131,10 @@ class TestCertify:
     def test_reference_instance_agrees(self):
         report = certify(make_zipf(9, 1.5), 7, 4.0)
         assert abs(report.gap) <= 1e-8
-        assert report.structural.lp_vertex_canonical
+        # the LP vertex itself has the canonical structure
+        lp = report.lp_placement
+        assert analyze_groups(lp, tol=1e-7).group_count <= 3
+        assert np.max(np.sum(lp.a > ZERO_TOL, axis=1)) <= 2
 
     def test_reference_instance_recovers_matrix(self):
         from golden import GOLDEN_PLACEMENTS
@@ -170,8 +173,8 @@ class TestCertify:
             # weak duality: the candidate is feasible, so it cannot beat the LP
             assert report.alg_rate >= report.lp_rate - 1e-9
             # implied full nonnegativity and cache equality at the LP optimum
-            assert report.structural.lp_min_entry >= -1e-8
-            assert abs(report.structural.lp_cache_residual) <= 1e-8
+            assert report.lp_placement.a.min() >= -1e-8
+            assert abs(report.lp_placement.cache_used() - m) <= 1e-8
 
     def test_size_guard(self):
         with pytest.raises(InstanceTooLargeError):
