@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 oracle guard violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -185,12 +186,9 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _sweep_row(payload) -> str:
-    n, k, m, spec = payload
-    model = popularity.from_spec(spec, n)
-    coeffs = rate_coefficients(model, order_stats(model, k))
+def _sweep_row(model, k: int, coeffs, m: float) -> str:
     optimal = algorithm4(model, k, m, coeffs=coeffs)
-    baseline = average_rate(one_group_placement(n, k, m), coeffs)
+    baseline = average_rate(one_group_placement(model.n_files, k, m), coeffs)
     zero_tail = algorithm1(model, k, m, coeffs=coeffs)
     two_group = bound_two_group(model, k, m)
     exhaustive = bound_exhaustive(model, k, m)
@@ -224,15 +222,14 @@ def cmd_sweep(args) -> int:
     config = _load_config(args.config)
     model = _build_model(args, config)
     k = _setting(args, config, "K", required=True)
-    spec = _popularity_spec(args, config)
     grid = _grid_from(args, config)
-    payloads = [(model.n_files, k, m, spec) for m in grid]
+    row = functools.partial(_sweep_row, model, k, rate_coefficients(model, order_stats(model, k)))
     jobs = _setting(args, config, "jobs", default=1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_row, payloads))
+            rows = list(pool.map(row, grid))
     else:
-        rows = [_sweep_row(p) for p in payloads]
+        rows = [row(m) for m in grid]
     _emit_csv(SWEEP_HEADER, rows, _merged(args, config, "out"))
     return EXIT_OK
 
@@ -254,6 +251,8 @@ def cmd_subpkt(args) -> int:
 
 def _check_placement_file(args, config) -> int:
     data = json.loads(Path(args.placement).read_text())
+    if isinstance(data, dict) and isinstance(data.get("placement"), dict):
+        data = data["placement"]  # a solution file written by ``solve --out``
     matrix = PlacementMatrix.from_json_dict(data)
     problems = matrix.violations(_setting(args, config, "M", float))
     if problems:

@@ -116,7 +116,11 @@ class PlacementMatrix:
     def from_json_dict(cls, data: dict) -> "PlacementMatrix":
         if not isinstance(data, dict) or not {"N", "K", "a"} <= data.keys():
             raise InvalidParameterError("placement JSON must be an object with keys N, K and a")
-        return cls(int(data["N"]), int(data["K"]), np.array(data["a"], dtype=float))
+        try:
+            n, k, a = int(data["N"]), int(data["K"]), np.array(data["a"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameterError(f"placement JSON has a bad value: {exc}") from exc
+        return cls(n, k, a)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)

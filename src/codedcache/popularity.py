@@ -131,9 +131,13 @@ def make_step(levels: Sequence[tuple]) -> PopularityModel:
     return PopularityModel(model.n_files, model.probs, source="step", perm=model.perm)
 
 
-def _spec_field(spec: dict, name: str):
+def _spec_field(spec: dict, name: str, *, array: bool = False):
+    if not isinstance(spec, dict):
+        raise InvalidParameterError(f"popularity spec {spec!r} is not a JSON object")
     if name not in spec:
         raise InvalidParameterError(f"popularity spec {spec!r} lacks {name!r}")
+    if array and not isinstance(spec[name], list):
+        raise InvalidParameterError(f"popularity spec field {name!r} must be a JSON array")
     return spec[name]
 
 
@@ -145,7 +149,7 @@ def from_spec(spec: dict, n_files: int | None = None) -> PopularityModel:
       {"type": "step", "levels": [{"p": "5/9", "count": 1}, ...]}
       {"type": "custom", "probs": [0.7, 0.3]}
     """
-    kind = spec.get("type")
+    kind = _spec_field(spec, "type")
     if kind == "zipf":
         if n_files is None:
             raise InvalidParameterError("zipf popularity needs the file count")
@@ -153,10 +157,10 @@ def from_spec(spec: dict, n_files: int | None = None) -> PopularityModel:
     if kind == "step":
         model = make_step([
             (_spec_field(level, "p"), _spec_field(level, "count"))
-            for level in _spec_field(spec, "levels")
+            for level in _spec_field(spec, "levels", array=True)
         ])
     elif kind == "custom":
-        model = make_custom(_spec_field(spec, "probs"))
+        model = make_custom(_spec_field(spec, "probs", array=True))
     else:
         raise InvalidParameterError(f"unknown popularity type {kind!r}")
     if n_files is not None and model.n_files != n_files:

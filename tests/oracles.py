@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 
+from codedcache.delivery import MonteCarloResult, sample_demands
+from codedcache.errors import InvalidParameterError
 from codedcache.placement import PlacementMatrix, average_rate, rate_coefficients
 from codedcache.popularity import order_stats
 
@@ -37,6 +39,31 @@ def delivery_rate_exhaustive(a: np.ndarray, probs) -> float:
             rate += max(a[demand[u], level] for u in range(k) if mask >> u & 1)
         total += weight * rate
     return total
+
+
+def monte_carlo_rate_subsets(placement, model, trials: int, seed: int) -> MonteCarloResult:
+    """``monte_carlo_rate`` by walking all 2^K - 1 user subsets of every trial.
+
+    Same demand stream, same statistics; each subset adds the largest
+    subfile size its members miss, straight from the delivery definition.
+    """
+    if trials < 1:
+        raise InvalidParameterError("trials must be >= 1")
+    if model.n_files != placement.n_files:
+        raise InvalidParameterError("model and placement disagree on the file count")
+    k = placement.k_users
+    demands0 = sample_demands(model, k, trials, seed) - 1
+    rates = np.zeros(trials)
+    for mask in range(1, 1 << k):
+        level = mask.bit_count() - 1
+        members = [k0 for k0 in range(k) if mask & (1 << k0)]
+        largest = placement.a[demands0[:, members[0]], level]
+        for k0 in members[1:]:
+            np.maximum(largest, placement.a[demands0[:, k0], level], out=largest)
+        rates += largest
+    mean = float(rates.mean())
+    stderr = float(rates.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return MonteCarloResult(mean, stderr, trials, seed)
 
 
 def random_popularity(rng, n: int) -> list[float]:

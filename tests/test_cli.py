@@ -131,6 +131,10 @@ class TestSolve:
         {"K": 2, "M": 1, "popularity": {"type": "step", "levels": [{"p": "1/2", "count": "two"}]}},
         ["--N", "5", "--K", "3", "--M", "1", "--step", "5/9xabc"],
         ["--N", "2", "--K", "3", "--M", "1", "--probs", "0.5,abc"],
+        {"N": 9, "K": 7, "M": 1, "popularity": "zipf"},
+        {"K": 2, "M": 1, "popularity": {"type": "custom", "probs": 5}},
+        {"K": 2, "M": 1, "popularity": {"type": "step", "levels": 5}},
+        {"K": 2, "M": 1, "popularity": {"type": "step", "levels": [5]}},
     ])
     def test_bad_config_is_config_error(self, capsys, tmp_path, config):
         """A bad value from a config file (dict) or from flags (list) exits 2."""
@@ -287,7 +291,9 @@ class TestVerify:
         assert code == 4
         assert "FAIL placement_invariants" in out
 
-    @pytest.mark.parametrize("data", [{"N": 2}, [1]])
+    @pytest.mark.parametrize("data", [
+        {"N": 2}, [1], {"N": "x", "K": 2, "a": [[1, 0, 0]]}, {"N": 1, "K": 2, "a": "zz"},
+    ])
     def test_malformed_placement_is_config_error(self, capsys, tmp_path, data):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from codedcache.delivery import (
     FileLibrary,
@@ -20,7 +22,11 @@ from codedcache.placement import PlacementMatrix, average_rate, rate_coefficient
 from codedcache.popularity import make_custom, make_zipf, order_stats
 from codedcache.solver import algorithm4
 
-from oracles import random_popularity, random_popularity_first_placement
+from oracles import (
+    monte_carlo_rate_subsets,
+    random_popularity,
+    random_popularity_first_placement,
+)
 
 ZIPF9 = make_zipf(9, 1.5)
 
@@ -213,6 +219,16 @@ class TestMonteCarlo:
         result = monte_carlo_rate(placement, ZIPF9, 40_000, seed=7)
         assert abs(result.mean_rate - analytic) <= 4 * result.std_error
 
+    def test_k30_needs_no_subset_walk(self):
+        # 2^30 user subsets per trial would be out of reach for a subset walk
+        model = make_zipf(30, 1.2)
+        candidate = algorithm4(model, 30, 1.0)
+        assert candidate.groups == 2
+        analytic = average_rate(candidate.placement, coeffs_for(model, 30))
+        result = monte_carlo_rate(candidate.placement, model, 4000, seed=1)
+        assert result.std_error > 0
+        assert abs(result.mean_rate - analytic) <= 5 * result.std_error
+
     def test_json_shape(self):
         model = make_custom([0.6, 0.4])
         payload = monte_carlo_rate(no_cache_placement(2, 2), model, 10, seed=5).to_json_dict()
@@ -222,6 +238,35 @@ class TestMonteCarlo:
         model = make_custom([0.6, 0.4])
         with pytest.raises(InvalidParameterError):
             monte_carlo_rate(no_cache_placement(2, 2), model, 0, seed=5)
+
+
+@st.composite
+def monte_carlo_instances(draw):
+    """Any nonnegative placement (ties and zeros included) or an optimal one."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = make_custom(random_popularity(rng, n))
+    kind = draw(st.sampled_from(["continuous", "coarse", "algorithm4"]))
+    if kind == "algorithm4":
+        placement = algorithm4(model, k, draw(st.floats(0.0, float(n)))).placement
+    else:
+        a = rng.random((n, k + 1))
+        placement = PlacementMatrix(n, k, np.floor(4 * a) / 4 if kind == "coarse" else a)
+    return placement, model, draw(st.integers(1, 300)), draw(st.integers(0, 2**31))
+
+
+@seed(2019)
+@settings(max_examples=200, deadline=None, database=None)
+@given(monte_carlo_instances())
+def test_monte_carlo_matches_subset_walk(instance):
+    placement, model, trials, mc_seed = instance
+    got = monte_carlo_rate(placement, model, trials, mc_seed)
+    want = monte_carlo_rate_subsets(placement, model, trials, mc_seed)
+    tol = 1e-12 * max(1.0, abs(want.mean_rate))
+    assert abs(got.mean_rate - want.mean_rate) <= tol
+    assert abs(got.std_error - want.std_error) <= tol
+    assert (got.trials, got.seed) == (want.trials, want.seed)
 
 
 class TestSampleDemands:
