@@ -144,13 +144,13 @@ def realize(placement: PlacementMatrix, library: FileLibrary) -> PlacementRealiz
 
     order = subset_order(k)
     subfiles: dict[tuple[int, int], int] = {}
-    for idx in range(n):
-        bits = _bytes_to_int(library.contents[idx], f_bits)
+    for idx, data in enumerate(library.contents):
         offset = 0
         for mask in order:
             size = int(sizes[idx, mask.bit_count()])
-            if size:
-                subfiles[(idx, mask)] = (bits >> offset) & ((1 << size) - 1)
+            if size:  # read only the bytes the subfile spans: O(F) per file
+                field = int.from_bytes(data[offset // 8:(offset + size + 7) // 8], "little")
+                subfiles[(idx, mask)] = (field >> offset % 8) & ((1 << size) - 1)
                 offset += size
     return PlacementRealization(placement, library, sizes, subfiles)
 
@@ -213,8 +213,7 @@ def decode(realization: PlacementRealization, transcript: DeliveryTranscript, us
     demand = transcript.demand
     file_idx = demand[user - 1] - 1
 
-    result = 0
-    offset = 0
+    fields = []  # (piece, bits) in file order
     for mask in subset_order(k):
         size = int(realization.sizes[file_idx, mask.bit_count()])
         if size == 0:
@@ -232,8 +231,11 @@ def decode(realization: PlacementRealization, transcript: DeliveryTranscript, us
                 if coded_mask & jbit and j != user - 1:
                     piece ^= realization.subfile(demand[j] - 1, coded_mask & ~jbit)
             piece &= (1 << size) - 1  # strip tail padding
-        result |= piece << offset
-        offset += size
+        fields.append((piece, size))
+    while len(fields) > 1:  # join neighbours pairwise: O(F) per pass, log2 passes
+        fields += [(0, 0)] * (len(fields) % 2)
+        fields = [(lo | hi << n, n + m) for (lo, n), (hi, m) in zip(fields[::2], fields[1::2])]
+    result, offset = fields[0]
 
     f_bits = realization.file_size_bits
     expected = _bytes_to_int(realization.library.contents[file_idx], f_bits)

@@ -101,6 +101,21 @@ class TestRealize:
         whole = int.from_bytes(library.contents[0], "little")
         assert realization.subfile(0, 0b01) | (realization.subfile(0, 0b10) << 1) == whole
 
+    @pytest.mark.parametrize("m", [0.5, 2.5, 4.0, 6.5])
+    def test_subfiles_are_consecutive_fields(self, m):
+        placement = algorithm4(ZIPF9, 7, m).placement
+        f_bits = 3 * minimal_file_size(placement)
+        realization = realize(placement, random_library(9, f_bits, seed=6))
+        want = {}
+        for idx, data in enumerate(realization.library.contents):
+            whole, offset = int.from_bytes(data, "little"), 0
+            for mask in subset_order(7):
+                size = int(realization.sizes[idx, mask.bit_count()])
+                if size:
+                    want[(idx, mask)] = (whole >> offset) & ((1 << size) - 1)
+                    offset += size
+        assert list(realization.subfiles.items()) == list(want.items())
+
     def test_rejects_non_integral_sizes(self):
         placement = algorithm4(ZIPF9, 7, 4.0).placement
         with pytest.raises(InvalidFileSizeError) as err:
