@@ -111,7 +111,8 @@ def _merged(args, config: dict, name: str, default=None):
     return config.get(name, default)
 
 
-def _setting(args, config: dict, name: str, convert=int, default=None, *, required=False):
+def _setting(args, config: dict, name: str, convert=popularity.as_int, default=None, *,
+             required=False):
     """A flag or config value passed through ``convert``; bad or missing -> config error."""
     value = _merged(args, config, name, default)
     if value is None:
@@ -121,9 +122,7 @@ def _setting(args, config: dict, name: str, convert=int, default=None, *, requir
     try:
         return convert(value)
     except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(
-            f"setting {name}={value!r} is not a valid {convert.__name__}"
-        ) from exc
+        raise InvalidParameterError(f"setting {name}={value!r} is invalid: {exc}") from exc
 
 
 def _build_model(args, config: dict) -> popularity.PopularityModel:

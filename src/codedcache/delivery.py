@@ -11,6 +11,7 @@ at the tail, so a message is as long as its largest operand.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,9 +36,25 @@ def _bytes_to_int(data: bytes, nbits: int) -> int:
     return x
 
 
+@functools.cache
+def _subsets(k_users: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+    """Per subset size l: the l-user masks ascending, and each mask's member bits.
+
+    Member tuples share one list of ``1 << j`` ints, so the K=12 table
+    stays around half a megabyte.
+    """
+    bits = [1 << j for j in range(k_users)]
+    levels = [([], []) for _ in range(k_users + 1)]
+    for mask in range(1 << k_users):
+        masks, members = levels[mask.bit_count()]
+        masks.append(mask)
+        members.append(tuple(b for b in bits if mask & b))
+    return tuple((tuple(masks), tuple(members)) for masks, members in levels)
+
+
 def subset_order(k_users: int) -> list[int]:
     """All user-subset bitmasks, size ascending then mask ascending."""
-    return sorted(range(1 << k_users), key=lambda s: (s.bit_count(), s))
+    return [mask for masks, _ in _subsets(k_users) for mask in masks]
 
 
 @dataclass(frozen=True)
@@ -142,15 +159,17 @@ def realize(placement: PlacementMatrix, library: FileLibrary) -> PlacementRealiz
             minimal_size=minimal_file_size(placement),
         )
 
-    order = subset_order(k)
+    table = _subsets(k)
     subfiles: dict[tuple[int, int], int] = {}
-    for idx, data in enumerate(library.contents):
+    for idx, (data, row) in enumerate(zip(library.contents, sizes.tolist())):
         offset = 0
-        for mask in order:
-            size = int(sizes[idx, mask.bit_count()])
-            if size:  # read only the bytes the subfile spans: O(F) per file
+        for (masks, _), size in zip(table, row):
+            if not size:
+                continue
+            low = (1 << size) - 1
+            for mask in masks:  # read only the bytes the subfile spans: O(F) per file
                 field = int.from_bytes(data[offset // 8:(offset + size + 7) // 8], "little")
-                subfiles[(idx, mask)] = (field >> offset % 8) & ((1 << size) - 1)
+                subfiles[(idx, mask)] = (field >> offset % 8) & low
                 offset += size
     return PlacementRealization(placement, library, sizes, subfiles)
 
@@ -180,24 +199,30 @@ def _check_demand(demand, n: int, k: int) -> tuple[int, ...]:
 
 
 def serve(realization: PlacementRealization, demand) -> DeliveryTranscript:
-    """Multicast one coded message per user subset that needs one."""
+    """Multicast one coded message per user subset that needs one.
+
+    The message for S XORs, per member k, the subfile of d_k cached by
+    S minus k; subset sizes where no requested file has subfiles are skipped.
+    """
     k = realization.k_users
     demand = _check_demand(demand, realization.placement.n_files, k)
+    rows = realization.sizes.tolist()
+    file_of = {1 << j: d - 1 for j, d in enumerate(demand)}
+    get = realization.subfiles.get
     messages = {}
     total = 0
-    for mask in range(1, 1 << k):
-        level = mask.bit_count() - 1
-        length = 0
-        payload = 0
-        for k0 in range(k):
-            bit = 1 << k0
-            if mask & bit:
-                file_idx = demand[k0] - 1
-                length = max(length, int(realization.sizes[file_idx, level]))
-                payload ^= realization.subfile(file_idx, mask & ~bit)
-        if length:
-            messages[mask] = (length, payload)
-            total += length
+    for level, (masks, members) in enumerate(_subsets(k)[1:]):
+        length_of = {b: rows[f][level] for b, f in file_of.items()}
+        if not any(length_of.values()):
+            continue
+        for mask, bits in zip(masks, members):
+            length = max([length_of[b] for b in bits])
+            if length:
+                payload = 0
+                for b in bits:
+                    payload ^= get((file_of[b], mask ^ b), 0)
+                messages[mask] = (length, payload)
+                total += length
     return DeliveryTranscript(demand, messages, total)
 
 
@@ -210,28 +235,29 @@ def decode(realization: PlacementRealization, transcript: DeliveryTranscript, us
     if not 1 <= user <= k:
         raise InvalidParameterError(f"user must be in 1..{k}")
     bit = 1 << (user - 1)
-    demand = transcript.demand
-    file_idx = demand[user - 1] - 1
+    file_of = {1 << j: d - 1 for j, d in enumerate(transcript.demand)}
+    file_idx = file_of[bit]
+    get = realization.subfiles.get
+    messages = transcript.messages
 
     fields = []  # (piece, bits) in file order
-    for mask in subset_order(k):
-        size = int(realization.sizes[file_idx, mask.bit_count()])
-        if size == 0:
+    for (masks, members), size in zip(_subsets(k), realization.sizes[file_idx].tolist()):
+        if not size:
             continue
-        if mask & bit:
-            piece = realization.subfile(file_idx, mask)  # cached locally
-        else:
-            coded_mask = mask | bit
-            entry = transcript.messages.get(coded_mask)
-            if entry is None:
-                raise DecodeError(f"message for subset {coded_mask:#x} missing")
-            piece = entry[1]
-            for j in range(k):
-                jbit = 1 << j
-                if coded_mask & jbit and j != user - 1:
-                    piece ^= realization.subfile(demand[j] - 1, coded_mask & ~jbit)
-            piece &= (1 << size) - 1  # strip tail padding
-        fields.append((piece, size))
+        low = (1 << size) - 1
+        for mask, bits in zip(masks, members):
+            if mask & bit:
+                piece = get((file_idx, mask), 0)  # cached locally
+            else:
+                coded_mask = mask | bit
+                entry = messages.get(coded_mask)
+                if entry is None:
+                    raise DecodeError(f"message for subset {coded_mask:#x} missing")
+                piece = entry[1]
+                for b in bits:  # the other members' subfiles, cached by this user
+                    piece ^= get((file_of[b], coded_mask ^ b), 0)
+                piece &= low  # strip tail padding
+            fields.append((piece, size))
     while len(fields) > 1:  # join neighbours pairwise: O(F) per pass, log2 passes
         fields += [(0, 0)] * (len(fields) % 2)
         fields = [(lo | hi << n, n + m) for (lo, n), (hi, m) in zip(fields[::2], fields[1::2])]

@@ -22,7 +22,7 @@ from .errors import (
     InvalidParameterError,
     PopularityFirstError,
 )
-from .popularity import OrderStatTable, PopularityModel
+from .popularity import OrderStatTable, PopularityModel, as_int
 
 PARTITION_TOL = 1e-9
 CACHE_TOL = 1e-9
@@ -117,7 +117,7 @@ class PlacementMatrix:
         if not isinstance(data, dict) or not {"N", "K", "a"} <= data.keys():
             raise InvalidParameterError("placement JSON must be an object with keys N, K and a")
         try:
-            n, k, a = int(data["N"]), int(data["K"]), np.array(data["a"], dtype=float)
+            n, k, a = as_int(data["N"]), as_int(data["K"]), np.array(data["a"], dtype=float)
         except (TypeError, ValueError) as exc:
             raise InvalidParameterError(f"placement JSON has a bad value: {exc}") from exc
         return cls(n, k, a)

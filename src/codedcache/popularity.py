@@ -87,6 +87,13 @@ def make_zipf(n_files: int, theta: float) -> PopularityModel:
     return PopularityModel(n_files, probs, source="zipf", theta=theta)
 
 
+def as_int(value) -> int:
+    """``int(value)``, except that a non-integral float such as 2.9 is a ValueError."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _as_float(value) -> float:
     """Accept numbers or fraction strings such as '5/9'."""
     try:
@@ -121,7 +128,7 @@ def make_step(levels: Sequence[tuple]) -> PopularityModel:
     probs: list[float] = []
     for p, count in levels:
         try:
-            count = int(count)
+            count = as_int(count)
         except (TypeError, ValueError) as exc:
             raise InvalidParameterError(f"level count {count!r} is not an integer") from exc
         if count < 1:

@@ -5,8 +5,13 @@ import math
 
 import numpy as np
 
-from codedcache.delivery import MonteCarloResult, sample_demands
-from codedcache.errors import InvalidParameterError
+from codedcache.delivery import (
+    DeliveryTranscript,
+    MonteCarloResult,
+    PlacementRealization,
+    sample_demands,
+)
+from codedcache.errors import DecodeError, InvalidParameterError
 from codedcache.placement import PlacementMatrix, average_rate, rate_coefficients
 from codedcache.popularity import order_stats
 
@@ -64,6 +69,81 @@ def monte_carlo_rate_subsets(placement, model, trials: int, seed: int) -> MonteC
     mean = float(rates.mean())
     stderr = float(rates.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return MonteCarloResult(mean, stderr, trials, seed)
+
+
+def _all_masks(k: int) -> list[int]:
+    """Every user-subset bitmask, size ascending then mask ascending."""
+    return sorted(range(1 << k), key=lambda s: (s.bit_count(), s))
+
+
+def realize_all_masks(placement, library) -> PlacementRealization:
+    """``realize`` by visiting every mask of every file; valid sizes assumed."""
+    sizes = np.rint(placement.a * library.file_size_bits).astype(np.int64)
+    subfiles = {}
+    for idx, data in enumerate(library.contents):
+        offset = 0
+        for mask in _all_masks(placement.k_users):
+            size = int(sizes[idx, mask.bit_count()])
+            if size:
+                field = int.from_bytes(data[offset // 8:(offset + size + 7) // 8], "little")
+                subfiles[(idx, mask)] = (field >> offset % 8) & ((1 << size) - 1)
+                offset += size
+    return PlacementRealization(placement, library, sizes, subfiles)
+
+
+def serve_all_masks(realization, demand) -> DeliveryTranscript:
+    """``serve`` by visiting every nonempty mask and every user bit."""
+    k = realization.k_users
+    demand = tuple(int(d) for d in demand)
+    messages = {}
+    total = 0
+    for mask in range(1, 1 << k):
+        level = mask.bit_count() - 1
+        length = 0
+        payload = 0
+        for k0 in range(k):
+            bit = 1 << k0
+            if mask & bit:
+                file_idx = demand[k0] - 1
+                length = max(length, int(realization.sizes[file_idx, level]))
+                payload ^= realization.subfile(file_idx, mask & ~bit)
+        if length:
+            messages[mask] = (length, payload)
+            total += length
+    return DeliveryTranscript(demand, messages, total)
+
+
+def decode_all_masks(realization, transcript, user: int) -> bytes:
+    """``decode`` by visiting every mask; raises DecodeError unless bit-exact."""
+    k = realization.k_users
+    bit = 1 << (user - 1)
+    demand = transcript.demand
+    file_idx = demand[user - 1] - 1
+    result = offset = 0
+    for mask in _all_masks(k):
+        size = int(realization.sizes[file_idx, mask.bit_count()])
+        if size == 0:
+            continue
+        if mask & bit:
+            piece = realization.subfile(file_idx, mask)
+        else:
+            coded_mask = mask | bit
+            entry = transcript.messages.get(coded_mask)
+            if entry is None:
+                raise DecodeError(f"message for subset {coded_mask:#x} missing")
+            piece = entry[1]
+            for j in range(k):
+                jbit = 1 << j
+                if coded_mask & jbit and j != user - 1:
+                    piece ^= realization.subfile(demand[j] - 1, coded_mask & ~jbit)
+            piece &= (1 << size) - 1
+        result |= piece << offset
+        offset += size
+    f_bits = realization.file_size_bits
+    nbytes = (f_bits + 7) // 8
+    if offset != f_bits or result.to_bytes(nbytes, "little") != realization.library.contents[file_idx]:
+        raise DecodeError(f"user {user} reconstructed file {file_idx + 1} incorrectly")
+    return result.to_bytes(nbytes, "little")
 
 
 def random_popularity(rng, n: int) -> list[float]:

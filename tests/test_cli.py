@@ -320,3 +320,45 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["rate"] == pytest.approx(0.5)
+
+
+class TestIntegerSettings:
+    """Non-integral numbers for integer settings exit 2 instead of truncating."""
+
+    @pytest.mark.parametrize("command,name", [
+        ("solve", "K"), ("solve", "N"), ("verify", "seed"), ("verify", "trials"),
+        ("verify", "demands"), ("verify", "batch"), ("sweep", "jobs"),
+    ])
+    def test_setting(self, capsys, tmp_path, command, name):
+        config = {"N": 4, "K": 3, "M": 1, "popularity": {"type": "zipf", "theta": 1.0},
+                  "trials": 200, "demands": 1, name: 2.9}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 2 and f"setting {name}=2.9" in err
+
+    def test_placement_dimensions(self, capsys, tmp_path):
+        path = tmp_path / "placement.json"
+        path.write_text(json.dumps({"N": 2.7, "K": 1, "a": [[0, 1], [0, 1]]}))
+        code, _, err = run_cli(capsys, "verify", "--placement", str(path), "--M", "1")
+        assert code == 2 and "2.7 is not an integer" in err
+
+    def test_step_count(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "K": 2, "M": 1, "popularity": {"type": "step", "levels": [{"p": "1/2", "count": 2.5}]},
+        }))
+        code, _, err = run_cli(capsys, "solve", "--config", str(path))
+        assert code == 2 and "level count 2.5" in err
+
+    def test_integral_values_still_read(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "N": 3.0, "K": 7.0, "M": 1,
+            "popularity": {"type": "step", "levels": [{"p": "1/3", "count": 3.0}]},
+        }))
+        code, out, _ = run_cli(capsys, "solve", "--config", str(path))
+        assert code == 0
+        expected = run_cli(capsys, "solve", "--N", "3", "--K", "7", "--M", "1",
+                           "--step", "1/3x3")[1]
+        assert out == expected

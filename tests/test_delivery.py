@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from codedcache.delivery import (
+    DeliveryTranscript,
     FileLibrary,
     decode,
     minimal_file_size,
@@ -17,15 +19,18 @@ from codedcache.delivery import (
     subset_order,
     per_user_cache_ok,
 )
-from codedcache.errors import InvalidFileSizeError, InvalidParameterError
+from codedcache.errors import DecodeError, InvalidFileSizeError, InvalidParameterError
 from codedcache.placement import PlacementMatrix, average_rate, rate_coefficients
 from codedcache.popularity import make_custom, make_zipf, order_stats
 from codedcache.solver import algorithm4
 
 from oracles import (
+    decode_all_masks,
     monte_carlo_rate_subsets,
     random_popularity,
     random_popularity_first_placement,
+    realize_all_masks,
+    serve_all_masks,
 )
 
 ZIPF9 = make_zipf(9, 1.5)
@@ -190,6 +195,59 @@ class TestDecode:
         with pytest.raises(InvalidParameterError):
             decode(realization, transcript, 3)
 
+    @staticmethod
+    def _reference_transcript():
+        placement = algorithm4(ZIPF9, 7, 2.5).placement
+        realization = realize(placement, random_library(9, minimal_file_size(placement), seed=8))
+        demand = (1, 3, 2, 1, 5, 9, 1)
+        return realization, demand, serve(realization, demand)
+
+    @staticmethod
+    def _needers(realization, demand, mask):
+        """Users in ``mask`` whose requested file has subfiles at its size."""
+        level = mask.bit_count() - 1
+        return [u for u in range(1, len(demand) + 1)
+                if mask >> (u - 1) & 1 and realization.sizes[demand[u - 1] - 1, level]]
+
+    def test_dropped_message_raises(self):
+        realization, demand, transcript = self._reference_transcript()
+        for mask in list(transcript.messages)[::7]:
+            messages = dict(transcript.messages)
+            del messages[mask]
+            broken = DeliveryTranscript(transcript.demand, messages, transcript.total_bits)
+            needers = self._needers(realization, demand, mask)
+            assert needers
+            for user in needers:
+                with pytest.raises(DecodeError, match="missing"):
+                    decode(realization, broken, user)
+
+    def test_flipped_payload_bit_raises(self):
+        realization, demand, transcript = self._reference_transcript()
+        for mask in list(transcript.messages)[::7]:
+            length, payload = transcript.messages[mask]
+            messages = {**transcript.messages, mask: (length, payload ^ 1)}
+            broken = DeliveryTranscript(transcript.demand, messages, transcript.total_bits)
+            needers = self._needers(realization, demand, mask)
+            assert needers
+            for user in needers:
+                with pytest.raises(DecodeError, match="incorrectly"):
+                    decode(realization, broken, user)
+
+    def test_k12_every_user_decodes(self):
+        # three groups at subset sizes 0, 2 and 3; F = 550 bits keeps it fast
+        model = make_zipf(6, 1.5)
+        candidate = algorithm4(model, 12, 0.9)
+        assert candidate.groups == 3
+        f_bits = minimal_file_size(candidate.placement)
+        assert f_bits == 550
+        library = random_library(6, f_bits, seed=12)
+        realization = realize(candidate.placement, library)
+        for row in sample_demands(model, 12, 2, seed=5):
+            transcript = serve(realization, row)
+            assert transcript.messages == serve_all_masks(realization, row).messages
+            for user in range(1, 13):
+                assert decode(realization, transcript, user) == library.contents[row[user - 1] - 1]
+
 
 class TestExactRateEquivalence:
     def test_exhaustive_demand_expectation(self):
@@ -282,6 +340,46 @@ def test_monte_carlo_matches_subset_walk(instance):
     assert abs(got.mean_rate - want.mean_rate) <= tol
     assert abs(got.std_error - want.std_error) <= tol
     assert (got.trials, got.seed) == (want.trials, want.seed)
+
+
+@st.composite
+def delivery_instances(draw):
+    """An optimal placement at one-decimal M, or integer-grid rows with
+    zeros and more than two nonzero subset sizes; small files either way."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        model = make_custom(random_popularity(rng, n))
+        placement = algorithm4(model, k, draw(st.integers(0, 10 * n)) / 10).placement
+        f_bits = minimal_file_size(placement)
+    else:
+        cached = rng.integers(0, 4, size=(n, k)) * (rng.random((n, k)) < 0.6)
+        cost = cached @ np.array([math.comb(k, l) for l in range(1, k + 1)])
+        f_bits = max(int(cost.max()), 1)
+        sizes = np.column_stack([f_bits - cost, cached])
+        placement = PlacementMatrix(n, k, sizes / f_bits)
+    library = random_library(n, f_bits, seed=draw(st.integers(0, 2**31)))
+    demands = rng.integers(1, n + 1, size=(draw(st.integers(1, 3)), k))
+    return placement, library, demands
+
+
+@seed(2020)
+@settings(max_examples=200, deadline=None, database=None)
+@given(delivery_instances())
+def test_delivery_matches_all_mask_walk(instance):
+    placement, library, demands = instance
+    fast = realize(placement, library)
+    slow = realize_all_masks(placement, library)
+    assert list(fast.subfiles.items()) == list(slow.subfiles.items())
+    for row in demands:
+        transcript = serve(fast, row)
+        reference = serve_all_masks(slow, row)
+        assert transcript.messages == reference.messages
+        assert transcript.dump() == reference.dump()
+        assert transcript.total_bits == reference.total_bits
+        for user in range(1, placement.k_users + 1):
+            assert decode(fast, transcript, user) == decode_all_masks(slow, reference, user)
 
 
 class TestSampleDemands:

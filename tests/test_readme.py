@@ -1,4 +1,4 @@
-"""The README's command-line examples run as written, in order."""
+"""The README's library tour and command-line examples run as written, in order."""
 
 import re
 import shlex
@@ -18,6 +18,16 @@ def command_line_examples() -> list[list[str]]:
         for line in block.splitlines()
         if line.startswith("codedcache ")
     ]
+
+
+def library_tour() -> str:
+    """The ``python`` code block under "Library tour"."""
+    section = README.read_text().split("## Library tour", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def test_library_tour_runs():
+    exec(compile(library_tour(), "README.md:Library tour", "exec"), {})
 
 
 def test_command_line_examples_exit_zero(capsys, tmp_path, monkeypatch):
