@@ -4,10 +4,10 @@ Subcommands:
   solve    optimal placement for one (N, K, M, popularity) instance
   sweep    rate and bound curves over a cache-size grid (CSV)
   subpkt   subpacketization of the optimal placement over a grid (CSV)
-  verify   LP certification + Monte Carlo + bit-exact decode checks
+  verify   LP-dual certification + Monte Carlo + bit-exact decode checks
 
-Exit codes: 0 success, 2 configuration error, 3 oracle guard violation,
-4 verification failure.
+Exit codes: 0 success, 2 configuration error, 4 verification failure.
+The LP dual has two free variables, so ``verify`` has no size limit.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import popularity
 from .bounds import bound_exhaustive, bound_proposed, bound_two_group
-from .errors import CodedCacheError, InstanceTooLargeError, InvalidParameterError
+from .errors import CodedCacheError, InvalidParameterError
 from .lp_oracle import verify_instance
 from .placement import (
     PlacementMatrix,
@@ -38,7 +38,6 @@ from .solver import algorithm1, algorithm4, one_group_placement
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_GUARD = 3
 EXIT_VERIFY = 4
 
 SWEEP_HEADER = (
@@ -356,9 +355,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InstanceTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
     except (CodedCacheError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -47,7 +47,3 @@ class DecodeError(CodedCacheError):
 
 class SolverStalledError(CodedCacheError):
     """The LP solver exceeded its iteration cap."""
-
-
-class InstanceTooLargeError(CodedCacheError, ValueError):
-    """Instance exceeds the LP-oracle size guard."""

@@ -1,17 +1,19 @@
-"""Independent optimality certification via a dense two-phase simplex,
-and the checks of ``codedcache verify`` built on it.
+"""Optimality certification from the LP dual, the dense simplex that
+cross-checks it, and the checks of ``codedcache verify``.
 
-The placement problem is a linear program: minimize the rate functional
-subject to per-file partition equalities, the global cache equality,
-popularity-first ordering, and the reduced sign constraints (last row's
-cached entries and the first file's server share; the rest of the
-nonnegativity is implied by the ordering and is asserted post-solve).
-Solving it numerically gives a ground truth that shares nothing with the
-closed-form candidate search.
+The placement problem is a linear program (``build_p2``): minimize the
+rate functional subject to per-file partition equalities, the global
+cache equality, popularity-first ordering, and the reduced sign
+constraints (last row's cached entries and the first file's server share;
+the rest of the nonnegativity is implied by the ordering).  Its dual has
+two free variables, so ``certify`` solves it exactly at any size.  The
+dense two-phase simplex (``solve``) shares no code with the dual or the
+closed-form search and is the tests' independent reference.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,13 +29,11 @@ from .delivery import (
 )
 from .errors import (
     DecodeError,
-    InstanceTooLargeError,
     InvalidParameterError,
     SolverStalledError,
 )
 from .placement import (
     ZERO_TOL,
-    PlacementMatrix,
     RateCoefficients,
     analyze_groups,
     rate_coefficients,
@@ -46,8 +46,8 @@ from .solver import CandidateSolution, algorithm4
 PIVOT_TOL = 1e-9
 OPT_TOL = 1e-8
 MAX_ITERATIONS = 10**6
-#: certify() refuses instances with more than this many variables.
-ORACLE_GUARD_VARS = 200
+#: A dual inequality may be violated by at most this share of max(1, rate).
+DUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -215,42 +215,92 @@ def solve(lp: LinearProgram, max_iter: int = MAX_ITERATIONS) -> LpSolution:
     return LpSolution(x, float(lp.objective @ x), "optimal")
 
 
+def _dual_lines(coeffs: RateCoefficients) -> tuple[np.ndarray, np.ndarray]:
+    """Intercepts and slopes of the dual's lines in mu, for n = 1..N and l = 1..K.
+
+    Every a_{n,0} with n >= 2 is free and sits in one partition row only,
+    so its dual is lambda_n = g_{n,0} (= K p_n).  Summing the dual
+    constraints of a_{1,l} .. a_{n,l} leaves one inequality per (n, l):
+    lambda_1 <= G_{n,l} / C(K,l) - S_n - (n l / K) mu, where
+    G_{n,l} = sum_{i<=n} g_{i,l} and S_n = sum_{i=2..n} g_{i,0}.
+    """
+    g = coeffs.g
+    rest = np.concatenate(([0.0], np.cumsum(g[1:, 0])))
+    intercepts = np.cumsum(g[:, 1:], axis=0) / coeffs.b[1:] - rest[:, None]
+    slopes = np.outer(np.arange(1, coeffs.n_files + 1), np.arange(1, coeffs.k_users + 1))
+    return intercepts, slopes / coeffs.k_users
+
+
+def dual_optimum(coeffs: RateCoefficients, cache: float) -> tuple[float, float]:
+    """(lambda_1, mu) maximizing lambda_1 + mu M under the dual's N K + 1 lines.
+
+    With the line lambda_1 <= g_{1,0} of slope 0, the feasible lambda_1
+    is the lower envelope of the lines in mu.  The sweep keeps the lowest
+    intercept per slope, builds the envelope in slope order, and stops at
+    the breakpoint where the envelope's slope passes M: the objective
+    rises with mu along pieces of slope below M and falls after.
+    """
+    intercepts, slopes = _dual_lines(coeffs)
+    order = np.lexsort((intercepts.ravel(), slopes.ravel()))
+    slopes, intercepts = slopes.ravel()[order], intercepts.ravel()[order]
+    first = np.flatnonzero(np.diff(slopes, prepend=0.0))  # lowest intercept per slope
+    xs, ys = [0.0], [float(coeffs.g[0, 0])]  # the envelope's lines as (slope, intercept)
+    for s, c in zip(slopes[first].tolist(), intercepts[first].tolist()):
+        # drop the last line while it is nowhere below its neighbours
+        while len(xs) >= 2 and (xs[-1] - xs[-2]) * (c - ys[-2]) <= (ys[-1] - ys[-2]) * (s - xs[-2]):
+            xs.pop()
+            ys.pop()
+        xs.append(s)
+        ys.append(c)
+    i = min(bisect.bisect_right(xs, cache), len(xs) - 1) - 1
+    mu = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])  # where lines i and i + 1 cross
+    return ys[i] - xs[i] * mu, mu
+
+
 @dataclass(frozen=True)
 class CertificationReport:
+    """The candidate's rate against the dual value ``lp_rate`` at (lambda_1, mu).
+
+    By strong duality ``lp_rate`` is the LP optimum.  With ``dual_slack``
+    (the least slack of any dual inequality) and ``primal_violations``
+    clean, ``gap`` bounds the candidate's suboptimality.
+    """
+
     lp_rate: float
     alg_rate: float
     gap: float
     candidate: CandidateSolution
-    lp_placement: PlacementMatrix
+    lambda_1: float
+    mu: float
+    dual_slack: float
+    primal_violations: tuple[str, ...]
+
+    @property
+    def dual_feasible(self) -> bool:
+        return self.dual_slack >= -DUAL_TOL * max(1.0, abs(self.lp_rate))
 
     @property
     def ok(self) -> bool:
-        return abs(self.gap) <= OPT_TOL
+        return abs(self.gap) <= OPT_TOL and self.dual_feasible and not self.primal_violations
 
 
 def certify(model: PopularityModel, k_users: int, cache: float) -> CertificationReport:
-    """Cross-check the closed-form optimum against the LP ground truth."""
-    n_vars = model.n_files * (k_users + 1)
-    if n_vars > ORACLE_GUARD_VARS:
-        raise InstanceTooLargeError(
-            f"{n_vars} variables exceed the oracle guard ({ORACLE_GUARD_VARS})"
-        )
+    """Certify the closed-form optimum with the exact optimum of the LP dual."""
     coeffs = rate_coefficients(model, order_stats(model, k_users))
     candidate = algorithm4(model, k_users, cache, coeffs=coeffs)
-    lp = build_p2(model, k_users, cache, coeffs)
-    solution = solve(lp)
-    if solution.status != "optimal":
-        raise SolverStalledError(f"LP oracle returned status {solution.status!r}")
-
-    lp_matrix = PlacementMatrix(
-        model.n_files, k_users, solution.values.reshape(model.n_files, k_users + 1)
-    )
+    lambda_1, mu = dual_optimum(coeffs, cache)
+    intercepts, slopes = _dual_lines(coeffs)
+    slack = float(min(coeffs.g[0, 0] - lambda_1, np.min(intercepts - slopes * mu - lambda_1)))
+    lp_rate = lambda_1 + float(np.sum(coeffs.g[1:, 0])) + mu * cache
     return CertificationReport(
-        lp_rate=solution.objective_value,
+        lp_rate=lp_rate,
         alg_rate=candidate.rate,
-        gap=candidate.rate - solution.objective_value,
+        gap=candidate.rate - lp_rate,
         candidate=candidate,
-        lp_placement=lp_matrix,
+        lambda_1=lambda_1,
+        mu=mu,
+        dual_slack=slack,
+        primal_violations=tuple(candidate.placement.violations(cache)),
     )
 
 
@@ -268,12 +318,12 @@ def verify_instance(
 ) -> list[Check]:
     """Certify, simulate and decode one instance; returns its checks in order.
 
-    Degenerate LP faces can return an alternate optimum with a different
-    grouping, so the structural results (at most three file groups, at
-    most two nonzero entries per row, cache equality, subpacketization
-    within the worst-case bound) are checked on the closed-form candidate,
-    which ``lp_gap`` certifies to be LP-optimal. Of the LP vertex only
-    the implied nonnegativity is checked.
+    The structural results (at most three file groups, at most two
+    nonzero entries per row, cache equality, subpacketization within the
+    worst-case bound) are checked on the closed-form candidate. ``lp_gap``
+    and ``dual_feasibility`` together certify it LP-optimal: it is
+    primal feasible, (lambda_1, mu) satisfies every dual inequality, and
+    the two objectives meet.
     """
     report = certify(model, k_users, cache)
     placement = report.candidate.placement
@@ -281,17 +331,17 @@ def verify_instance(
     nonzeros = int(np.max(np.sum(placement.a > ZERO_TOL, axis=1)))
     residual = placement.cache_used() - cache
     bound, _ = worst_case_subpacketization_bound(k_users)
-    lp_min = float(report.lp_placement.a.min())
     mc = monte_carlo_rate(placement, model, trials, seed)
     margin = 5.0 * mc.std_error + 1e-9 * k_users
     checks = [
-        Check("lp_gap", report.ok, f"|gap|={abs(report.gap):.3e}"),
+        Check("lp_gap", abs(report.gap) <= OPT_TOL and not report.primal_violations,
+              "; ".join([f"|gap|={abs(report.gap):.3e}", *report.primal_violations])),
         Check("file_groups<=3", groups <= 3, f"groups={groups}"),
         Check("row_nonzeros<=2", nonzeros <= 2, f"max={nonzeros}"),
         Check("cache_equality", abs(residual) <= 1e-9, f"residual={residual:.3e}"),
         Check("popularity_first", placement.is_popularity_first(), ""),
         Check("subpacketization_bound", subpacketization(placement).max_level <= bound, ""),
-        Check("lp_nonnegativity", lp_min >= -1e-8, f"min={lp_min:.3e}"),
+        Check("dual_feasibility", report.dual_feasible, f"slack={report.dual_slack:.3e}"),
         Check(
             "monte_carlo",
             abs(mc.mean_rate - report.alg_rate) <= margin,

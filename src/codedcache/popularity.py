@@ -88,8 +88,8 @@ def make_zipf(n_files: int, theta: float) -> PopularityModel:
 
 
 def as_int(value) -> int:
-    """``int(value)``, except that a non-integral float such as 2.9 is a ValueError."""
-    if isinstance(value, float) and not value.is_integer():
+    """``int(value)``, except that a bool or a non-integral float such as 2.9 is a ValueError."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 

@@ -20,7 +20,7 @@ PASS [0] N=6 K=3 M=2.5 row_nonzeros<=2 max=2
 PASS [0] N=6 K=3 M=2.5 cache_equality residual=0.000e+00
 PASS [0] N=6 K=3 M=2.5 popularity_first
 PASS [0] N=6 K=3 M=2.5 subpacketization_bound
-PASS [0] N=6 K=3 M=2.5 lp_nonnegativity min=0.000e+00
+PASS [0] N=6 K=3 M=2.5 dual_feasibility slack=0.000e+00
 PASS [0] N=6 K=3 M=2.5 monte_carlo mc=0.35525 analytic=0.373813 stderr=0.011
 PASS [0] N=6 K=3 M=2.5 bit_exact_decode 3 demands, F=2 bits
 verify: 1 instance(s), 0 failed check(s)
@@ -273,10 +273,12 @@ class TestVerify:
         assert "bit_exact_decode 1 demands, F=" in out
 
     def test_guard_exit_code(self, capsys):
-        code, _, err = run_cli(
+        """The former 200-variable guard size (N=30, K=9) certifies and exits 0."""
+        code, out, err = run_cli(
             capsys, "verify", "--N", "30", "--K", "9", "--zipf", "1.0", "--M", "3"
         )
-        assert code == 3 and "error:" in err
+        assert code == 0 and err == ""
+        assert out.endswith("verify: 1 instance(s), 0 failed check(s)\n")
 
     def test_tampered_placement_fails(self, capsys, tmp_path):
         from codedcache.popularity import make_zipf
@@ -336,6 +338,16 @@ class TestIntegerSettings:
         path.write_text(json.dumps(config))
         code, _, err = run_cli(capsys, command, "--config", str(path))
         assert code == 2 and f"setting {name}=2.9" in err
+
+    @pytest.mark.parametrize("command,name", [("solve", "K"), ("solve", "N"), ("verify", "seed")])
+    def test_boolean_setting(self, capsys, tmp_path, command, name):
+        """JSON true is not the integer 1."""
+        config = {"N": 4, "K": 3, "M": 1, "popularity": {"type": "zipf", "theta": 1.0},
+                  "trials": 200, "demands": 1, name: True}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 2 and f"error: setting {name}=True is invalid" in err
 
     def test_placement_dimensions(self, capsys, tmp_path):
         path = tmp_path / "placement.json"
