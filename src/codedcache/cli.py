@@ -313,7 +313,9 @@ def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file (same keys as the flags)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="codedcache",
         description="Optimal cache placement for coded caching under nonuniform popularity",
@@ -351,8 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CodedCacheError, OSError, json.JSONDecodeError) as exc:

@@ -6,14 +6,15 @@ rate functional subject to per-file partition equalities, the global
 cache equality, popularity-first ordering, and the reduced sign
 constraints (last row's cached entries and the first file's server share;
 the rest of the nonnegativity is implied by the ordering).  Its dual has
-two free variables, so ``certify`` solves it exactly at any size.  The
-dense two-phase simplex (``solve``) shares no code with the dual or the
-closed-form search and is the tests' independent reference.
+two free variables; ``solver.dual_optimum`` solves it exactly at any
+size, ``algorithm4`` searches from it, and ``certify`` checks the
+candidate against it.  The dense two-phase simplex (``solve``) shares no
+code with the dual or the closed-form search and is the tests'
+independent reference.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ from .placement import (
     worst_case_subpacketization_bound,
 )
 from .popularity import PopularityModel, order_stats
-from .solver import CandidateSolution, algorithm4
+from .solver import CandidateSolution, _dual_lines, algorithm4, dual_optimum, dual_value
 
 PIVOT_TOL = 1e-9
 OPT_TOL = 1e-8
@@ -215,48 +216,6 @@ def solve(lp: LinearProgram, max_iter: int = MAX_ITERATIONS) -> LpSolution:
     return LpSolution(x, float(lp.objective @ x), "optimal")
 
 
-def _dual_lines(coeffs: RateCoefficients) -> tuple[np.ndarray, np.ndarray]:
-    """Intercepts and slopes of the dual's lines in mu, for n = 1..N and l = 1..K.
-
-    Every a_{n,0} with n >= 2 is free and sits in one partition row only,
-    so its dual is lambda_n = g_{n,0} (= K p_n).  Summing the dual
-    constraints of a_{1,l} .. a_{n,l} leaves one inequality per (n, l):
-    lambda_1 <= G_{n,l} / C(K,l) - S_n - (n l / K) mu, where
-    G_{n,l} = sum_{i<=n} g_{i,l} and S_n = sum_{i=2..n} g_{i,0}.
-    """
-    g = coeffs.g
-    rest = np.concatenate(([0.0], np.cumsum(g[1:, 0])))
-    intercepts = np.cumsum(g[:, 1:], axis=0) / coeffs.b[1:] - rest[:, None]
-    slopes = np.outer(np.arange(1, coeffs.n_files + 1), np.arange(1, coeffs.k_users + 1))
-    return intercepts, slopes / coeffs.k_users
-
-
-def dual_optimum(coeffs: RateCoefficients, cache: float) -> tuple[float, float]:
-    """(lambda_1, mu) maximizing lambda_1 + mu M under the dual's N K + 1 lines.
-
-    With the line lambda_1 <= g_{1,0} of slope 0, the feasible lambda_1
-    is the lower envelope of the lines in mu.  The sweep keeps the lowest
-    intercept per slope, builds the envelope in slope order, and stops at
-    the breakpoint where the envelope's slope passes M: the objective
-    rises with mu along pieces of slope below M and falls after.
-    """
-    intercepts, slopes = _dual_lines(coeffs)
-    order = np.lexsort((intercepts.ravel(), slopes.ravel()))
-    slopes, intercepts = slopes.ravel()[order], intercepts.ravel()[order]
-    first = np.flatnonzero(np.diff(slopes, prepend=0.0))  # lowest intercept per slope
-    xs, ys = [0.0], [float(coeffs.g[0, 0])]  # the envelope's lines as (slope, intercept)
-    for s, c in zip(slopes[first].tolist(), intercepts[first].tolist()):
-        # drop the last line while it is nowhere below its neighbours
-        while len(xs) >= 2 and (xs[-1] - xs[-2]) * (c - ys[-2]) <= (ys[-1] - ys[-2]) * (s - xs[-2]):
-            xs.pop()
-            ys.pop()
-        xs.append(s)
-        ys.append(c)
-    i = min(bisect.bisect_right(xs, cache), len(xs) - 1) - 1
-    mu = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])  # where lines i and i + 1 cross
-    return ys[i] - xs[i] * mu, mu
-
-
 @dataclass(frozen=True)
 class CertificationReport:
     """The candidate's rate against the dual value ``lp_rate`` at (lambda_1, mu).
@@ -291,7 +250,7 @@ def certify(model: PopularityModel, k_users: int, cache: float) -> Certification
     lambda_1, mu = dual_optimum(coeffs, cache)
     intercepts, slopes = _dual_lines(coeffs)
     slack = float(min(coeffs.g[0, 0] - lambda_1, np.min(intercepts - slopes * mu - lambda_1)))
-    lp_rate = lambda_1 + float(np.sum(coeffs.g[1:, 0])) + mu * cache
+    lp_rate = dual_value(coeffs, cache, lambda_1, mu)
     return CertificationReport(
         lp_rate=lp_rate,
         alg_rate=candidate.rate,

@@ -17,15 +17,17 @@ minimum-rate candidate over all of them:
     third group.
 
 Each family's entries and feasibility conditions are written once, as
-array expressions over (n_o, l_o, l_1) for a given n_eff (N for two
-groups, n_1 for three).  A search evaluates them as one broadcast per
-n_eff, masks infeasible tuples, and picks the winner by the set rule of
-``TIE_TOL``; only the winner is materialized.  ``algorithm4`` takes the
-minimum over all three families.
+array expressions over broadcast tuples (n_o, n_eff, l_o, l_1), with
+n_eff = N for two groups and n_1 for three.  A search masks infeasible
+tuples and picks the winner by the set rule of ``TIE_TOL``; only the
+winner is materialized.  ``algorithm1/2/3`` search every tuple of their
+family.  ``algorithm4`` searches all three, but the LP dual
+(``dual_optimum``) limits it to O(N K) tuples instead of O(N^2 K^2).
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -51,6 +53,13 @@ TIE_TOL = 1e-12
 #: Entries this close to a degenerate boundary make a candidate collapse
 #: into a simpler structure; such tuples are skipped, not clamped.
 STRICT_TOL = 1e-12
+#: A dual line is tight when its slack is at most this share of
+#: max(1, |lambda_1| + |mu| M).  A candidate in the set rule's window is
+#: within TIE_TOL of the optimum, which meets the dual value up to
+#: rounding, so one of its two lines has slack <= 2 TIE_TOL plus rounding
+#: (see ``algorithm4``).  Any larger tolerance keeps the winner exact and
+#: only adds candidates; ``algorithm4`` checks the premise on every call.
+TIGHT_TOL = 1e-9
 
 _ABSENT = 10**9  # stands in for an absent tuple entry in a key
 
@@ -151,7 +160,7 @@ def _zero_tail(k: int, m: float, n_o):
     return m <= n_o, _Rows(n_o, n_o, lo, hi, x, y, 0.0, 0.0)
 
 
-def _case2i(k: int, m: float, n_eff: int, n_o, l_o):
+def _case2i(k: int, m: float, n_eff, n_o, l_o):
     """Feasibility and rows when both groups share the subset size l_o (case 2.i).
 
     l_o must lie in the window floor(K*m/n_eff) < l_o < K*m/n_o, and the
@@ -172,7 +181,7 @@ def _case2i(k: int, m: float, n_eff: int, n_o, l_o):
     return ok, _Rows(n_o, n_eff, l_o, l_o, 1.0 / binom, 0.0, frac / binom, row2_server)
 
 
-def _case2ii(k: int, m: float, n_eff: int, n_o, l_o, l_1):
+def _case2ii(k: int, m: float, n_eff, n_o, l_o, l_1):
     """Feasibility and rows when the first group adds a second size l_1 (case 2.ii).
 
     Admissible when l_o != l_1 and either l_o > K*m/n_eff, l_1 < K*m/n_o
@@ -263,6 +272,58 @@ def case2ii_placement(
 
 
 # ---------------------------------------------------------------------------
+# LP dual
+
+
+def _dual_lines(coeffs: RateCoefficients) -> tuple[np.ndarray, np.ndarray]:
+    """Intercepts and slopes of the dual's lines in mu, for n = 1..N and l = 1..K.
+
+    The placement LP (``lp_oracle.build_p2``) has a free a_{n,0} for every
+    n >= 2, in one partition row only, so its dual is lambda_n = g_{n,0}
+    (= K p_n).  Summing the dual constraints of a_{1,l} .. a_{n,l} leaves
+    one inequality per (n, l):
+    lambda_1 <= G_{n,l} / C(K,l) - S_n - (n l / K) mu, where
+    G_{n,l} = sum_{i<=n} g_{i,l} and S_n = sum_{i=2..n} g_{i,0}.
+    """
+    g = coeffs.g
+    rest = np.concatenate(([0.0], np.cumsum(g[1:, 0])))
+    intercepts = np.cumsum(g[:, 1:], axis=0) / coeffs.b[1:] - rest[:, None]
+    slopes = np.outer(np.arange(1, coeffs.n_files + 1), np.arange(1, coeffs.k_users + 1))
+    return intercepts, slopes / coeffs.k_users
+
+
+def dual_optimum(coeffs: RateCoefficients, cache: float) -> tuple[float, float]:
+    """(lambda_1, mu) maximizing lambda_1 + mu M under the dual's N K + 1 lines.
+
+    With the line lambda_1 <= g_{1,0} of slope 0, the feasible lambda_1
+    is the lower envelope of the lines in mu.  The sweep keeps the lowest
+    intercept per slope, builds the envelope in slope order, and stops at
+    the breakpoint where the envelope's slope passes M: the objective
+    rises with mu along pieces of slope below M and falls after.
+    """
+    intercepts, slopes = _dual_lines(coeffs)
+    order = np.lexsort((intercepts.ravel(), slopes.ravel()))
+    slopes, intercepts = slopes.ravel()[order], intercepts.ravel()[order]
+    first = np.flatnonzero(np.diff(slopes, prepend=0.0))  # lowest intercept per slope
+    xs, ys = [0.0], [float(coeffs.g[0, 0])]  # the envelope's lines as (slope, intercept)
+    for s, c in zip(slopes[first].tolist(), intercepts[first].tolist()):
+        # drop the last line while it is nowhere below its neighbours
+        while len(xs) >= 2 and (xs[-1] - xs[-2]) * (c - ys[-2]) <= (ys[-1] - ys[-2]) * (s - xs[-2]):
+            xs.pop()
+            ys.pop()
+        xs.append(s)
+        ys.append(c)
+    i = min(bisect.bisect_right(xs, cache), len(xs) - 1) - 1
+    mu = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])  # where lines i and i + 1 cross
+    return ys[i] - xs[i] * mu, mu
+
+
+def dual_value(coeffs: RateCoefficients, cache: float, lambda_1: float, mu: float) -> float:
+    """The dual objective lambda_1 + sum_{n>=2} g_{n,0} + mu M."""
+    return lambda_1 + float(np.sum(coeffs.g[1:, 0])) + mu * cache
+
+
+# ---------------------------------------------------------------------------
 # Candidate search
 
 
@@ -314,12 +375,17 @@ def _search(
     zero_tail: bool = False,
     two_group: bool = False,
     three_group: bool = False,
+    tight: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> CandidateSolution | None:
     """Set-rule winner over the requested families, or None when none is feasible.
 
     The three-group family runs the two-group closed forms on the first
-    n_1 files; the cached groups must jointly hold at least the cache
-    worth of files, so n_1 ranges over max(2, floor(M) + 1)..N-1.
+    n_1 files, and case 2.ii follows case 2.i in ``PlacementCase``.  The
+    cached groups must jointly hold at least the cache worth of files, so
+    n_1 ranges over max(2, floor(M) + 1)..N-1.  Every tuple is evaluated,
+    one n_eff at a time, unless ``tight`` gives the n and l of the tight
+    dual lines: then only the two- and three-group tuples that weigh one
+    of them are (see ``algorithm4``).  Tuples need n_o < n_eff.
     """
     _check_cache(model, m)
     if coeffs is None:
@@ -331,6 +397,21 @@ def _search(
         list(range(max(2, math.floor(m) + 1), n)) if three_group else []
     )
     sizes = np.arange(1, k + 1)
+    if tight is None:
+        blocks = [block for n_eff in n_effs for block in (
+            (np.arange(1, n_eff)[:, None], n_eff, sizes),
+            (np.arange(1, n_eff)[:, None, None], n_eff, sizes[:, None], sizes),
+        )]
+    else:
+        t_n, t_l = tight[0][:, None], tight[1][:, None]
+        on_eff = np.isin(tight[0], n_effs)
+        e_n, e_l = t_n[on_eff], t_l[on_eff]
+        heads, effs = np.arange(1, n), np.array(n_effs)
+        blocks = [  # (n_eff, l_o) tight, n_o and l_1 free
+            (heads, e_n, e_l), (heads[:, None], e_n[..., None], e_l[..., None], sizes),
+            # (n_o, l_o) resp. (n_o, l_1) tight, n_eff and l_o free
+            (t_n, effs, t_l), (t_n[..., None], effs[:, None], sizes, t_l[..., None]),
+        ]
     found = []
     with np.errstate(divide="ignore", invalid="ignore"):  # rates of masked tuples
         if zero_tail:
@@ -340,17 +421,13 @@ def _search(
                 n_o == n, _INDEX[PlacementCase.ONE_GROUP], _INDEX[PlacementCase.TWO_GROUP_ZERO_TAIL]
             )
             found += _near_minimum(found, pref, ok, rows, case, _ABSENT, _ABSENT)
-        for n_eff in n_effs:
-            if n_eff == n:
-                n_1, case_i = _ABSENT, _INDEX[PlacementCase.TWO_GROUP_CASE2I]
-            else:
-                n_1, case_i = n_eff, _INDEX[PlacementCase.THREE_GROUP_CASE1]
-            n_o = np.arange(1, n_eff)[:, None]
-            ok, rows = _case2i(k, m, n_eff, n_o, sizes)
-            found += _near_minimum(found, pref, ok, rows, case_i, n_1, _ABSENT)
-            ok, rows = _case2ii(k, m, n_eff, n_o[:, :, None], sizes[:, None], sizes)
-            # case 2.ii follows case 2.i in PlacementCase
-            found += _near_minimum(found, pref, ok, rows, case_i + 1, n_1, rows.t)
+        for n_o, n_eff, l_o, *l_1 in blocks:  # case 2.ii blocks carry l_1
+            n_1 = np.where(n_eff == n, _ABSENT, n_eff)
+            case = np.where(n_eff == n, _INDEX[PlacementCase.TWO_GROUP_CASE2I],
+                            _INDEX[PlacementCase.THREE_GROUP_CASE1]) + len(l_1)
+            ok, rows = _case2ii(k, m, n_eff, n_o, l_o, *l_1) if l_1 else _case2i(k, m, n_eff, n_o, l_o)
+            ok &= n_o < n_eff
+            found += _near_minimum(found, pref, ok, rows, case, n_1, rows.t if l_1 else _ABSENT)
     if not found:
         return None
     low = min(rate for rate, _ in found)
@@ -375,18 +452,42 @@ def algorithm2(
 def algorithm3(
     model: PopularityModel, k_users: int, cache: float, *, coeffs: RateCoefficients | None = None
 ) -> CandidateSolution | None:
-    """Best three-group candidate, or None when the n_1 range is empty.
-
-    The cached groups must jointly hold at least the cache worth of
-    files, so n_1 starts at max(2, floor(M) + 1).
-    """
+    """Best three-group candidate, or None when the n_1 range (see ``_search``) is empty."""
     return _search(model, k_users, cache, coeffs, three_group=True)
 
 
 def algorithm4(
     model: PopularityModel, k_users: int, cache: float, *, coeffs: RateCoefficients | None = None
 ) -> CandidateSolution:
-    """Global optimum: minimum-rate candidate over all three families."""
-    return _search(
-        model, k_users, cache, coeffs, zero_tail=True, two_group=True, three_group=True
-    )
+    """Global optimum: the set-rule winner over all three families, found from the LP dual.
+
+    With u_{n,l} = C(K,l) (a_{n,l} - a_{n+1,l}) and a_{N+1,l} = 0, a
+    placement meeting the partition and cache equalities is a convex
+    combination of the dual's points (n l / K, G_{n,l} / C(K,l) - S_n) and
+    (0, g_{1,0}), with weights u_{n,l} and a_{1,0}.  So for any optimal
+    (lambda_1, mu), its rate minus the dual value D is
+    a_{1,0} slack_0 + sum u_{n,l} slack_{n,l}.  A two- or three-group
+    candidate has a_{1,0} = 0 and weight on two points only: (n_o, l_o)
+    and (n_eff, l_o) in case 2.i, (n_o, l_1) and (n_eff, l_o) in case
+    2.ii.  One carries weight >= 1/2, so a candidate within delta of D
+    has a line with slack <= 2 delta.
+
+    Hence the search evaluates the zero-tail family whole and the two- and
+    three-group tuples with a point on a tight line.  When the winner
+    found has 4 (rate - D + TIE_TOL) <= the scaled TIGHT_TOL, every
+    candidate in the set rule's window has a line with at most half that
+    slack, so all of them were evaluated and the winner is the full
+    search's, bit for bit; otherwise the full search runs.
+    """
+    _check_cache(model, cache)
+    if coeffs is None:
+        coeffs = rate_coefficients(model, order_stats(model, k_users))
+    lambda_1, mu = dual_optimum(coeffs, cache)
+    intercepts, slopes = _dual_lines(coeffs)
+    tol = TIGHT_TOL * max(1.0, abs(lambda_1) + abs(mu) * cache)
+    tight_n, tight_l = np.nonzero(intercepts - slopes * mu - lambda_1 <= tol)
+    families = {"zero_tail": True, "two_group": True, "three_group": True}
+    best = _search(model, k_users, cache, coeffs, tight=(tight_n + 1, tight_l + 1), **families)
+    if 4.0 * (best.rate - dual_value(coeffs, cache, lambda_1, mu) + TIE_TOL) > tol:
+        return _search(model, k_users, cache, coeffs, **families)
+    return best

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from codedcache.cli import main
+from codedcache.cli import build_parser, main
 
 from golden import GOLDEN_PLACEMENTS
 
@@ -374,3 +374,29 @@ class TestIntegerSettings:
         expected = run_cli(capsys, "solve", "--N", "3", "--K", "7", "--M", "1",
                            "--step", "1/3x3")[1]
         assert out == expected
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, tmp_path):
+    runs = [
+        ["verify", "--batch", "2"],
+        ["solve", "--N", "9", "--K", "7", "--zipf", "1.5", "--M", "2.5", "--out", str(tmp_path / "s")],
+        ["sweep", "--N", "10", "--K", "6", "--zipf", "1.5", "--M-grid", "1:10:1",
+         "--out", str(tmp_path / "rates.csv")],
+    ]
+
+    def outputs(fresh_parser):
+        """Exit code, stdout, stderr and the files written so far, after each run."""
+        for path in tmp_path.iterdir():
+            path.unlink()
+        result = []
+        for argv in runs:
+            if fresh_parser:
+                build_parser.cache_clear()
+            code, out, err = run_cli(capsys, *argv)
+            result.append((code, out, err, {p.name: p.read_bytes() for p in tmp_path.iterdir()}))
+        return result
+
+    assert build_parser() is build_parser()
+    reused = outputs(fresh_parser=False)
+    assert reused == outputs(fresh_parser=True)
+    assert [code for code, *_ in reused] == [0, 0, 0]

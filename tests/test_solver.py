@@ -3,23 +3,33 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from codedcache import solver
 from codedcache.errors import InfeasibleCaseError, InvalidParameterError
+from codedcache.lp_oracle import certify
 from codedcache.placement import (
+    PlacementMatrix,
     analyze_groups,
     average_rate,
+    partition_weights,
     rate_coefficients,
     subpacketization,
     worst_case_subpacketization_bound,
 )
 from codedcache.popularity import make_custom, make_step, make_zipf, order_stats
 from codedcache.solver import (
+    TIE_TOL,
+    TIGHT_TOL,
     PlacementCase,
+    _dual_lines,
+    _search,
     algorithm1,
     algorithm2,
     algorithm3,
     algorithm4,
     case2i_placement,
     case2ii_placement,
+    dual_optimum,
+    dual_value,
     one_group_placement,
 )
 
@@ -259,6 +269,13 @@ class TestAlgorithm4:
         assert algorithm4(ZIPF9, 7, 7.0).first_group_size == 9
         assert algorithm4(ZIPF9, 7, 1.0).first_group_size == 3
 
+    def test_large_instance(self):
+        model = make_zipf(1000, 1.0)
+        candidate = algorithm4(model, 30, 3.7)
+        assert candidate.case_id is PlacementCase.THREE_GROUP_CASE1
+        assert (candidate.n_o, candidate.n_1, candidate.l_o, candidate.l_1) == (22, 23, 5, None)
+        assert abs(certify(model, 30, 3.7).gap) <= 1e-8
+
     def test_zero_tail_rows_use_adjacent_sizes(self):
         # the symmetric-head family splits files over two adjacent subset
         # sizes; the two-size case-2.ii family has no such restriction
@@ -302,9 +319,10 @@ class TestStepPopularity:
 
 
 @st.composite
-def search_instances(draw):
-    n = draw(st.integers(2, 10))
-    k = draw(st.integers(1, 7))
+def search_instances(draw, max_n=10, max_k=7, exact_splits=False):
+    """Instances with ties and edge caches; ``exact_splits`` adds K = 1 and integral K M / n_o."""
+    n = draw(st.integers(2, max_n))
+    k = draw(st.one_of(st.just(1), st.integers(1, max_k)) if exact_splits else st.integers(1, max_k))
     kind = draw(st.sampled_from(["zipf", "custom", "uniform", "step"]))
     if kind == "zipf":
         model = make_zipf(n, draw(st.floats(0.0, 2.5)))
@@ -318,10 +336,13 @@ def search_instances(draw):
         weight = draw(st.integers(2, 6))
         total = head * weight + n - head
         model = make_step([(f"{weight}/{total}", head), (f"1/{total}", n - head)])
-    m = draw(st.one_of(
+    caches = [
         st.just(0.0), st.just(float(n)),
         st.integers(0, 2 * n).map(lambda j: j / 2), st.floats(0.0, float(n)),
-    ))
+    ]
+    if exact_splits:
+        caches.append(st.tuples(st.integers(1, n), st.integers(0, k)).map(lambda t: t[0] * t[1] / k))
+    m = draw(st.one_of(*caches))
     return model, k, m
 
 
@@ -351,3 +372,131 @@ def test_candidate_json_shape():
     assert payload["l_o"] == 3 and payload["l_1"] == 4
     assert payload["placement"]["N"] == 9 and payload["placement"]["K"] == 7
     assert len(payload["placement"]["a"]) == 9
+
+
+def full_search(model, k, m, coeffs):
+    """Every tuple of all three families: the mid-size oracle of ``algorithm4``."""
+    return _search(model, k, m, coeffs, zero_tail=True, two_group=True, three_group=True)
+
+
+def assert_same_solution(got, want):
+    assert got.case_id is want.case_id
+    assert (got.n_o, got.n_1, got.l_o, got.l_1) == (want.n_o, want.n_1, want.l_o, want.l_1)
+    assert got.rate == want.rate
+    assert np.array_equal(got.placement.a, want.placement.a)
+
+
+@seed(2020)
+@settings(max_examples=150, deadline=None, database=None)
+@given(search_instances(max_n=40, max_k=10, exact_splits=True))
+def test_algorithm4_matches_full_search(instance):
+    model, k, m = instance
+    coeffs = coeffs_for(model, k)
+    assert_same_solution(algorithm4(model, k, m, coeffs=coeffs), full_search(model, k, m, coeffs))
+
+
+@pytest.mark.parametrize("m", [2.5, 5.5, 6.0])
+def test_each_dual_point_of_the_winner_finds_it(m):
+    # the winner weighs two dual lines; the search restricted to either one
+    # alone must still reach it, through the n_o side or the n_eff side
+    coeffs = coeffs_for(ZIPF9, 7)
+    best = algorithm4(ZIPF9, 7, m, coeffs=coeffs)
+    points = [(best.n_o, best.l_1 or best.l_o), (best.n_1 or 9, best.l_o)]
+    for n, l in points:
+        got = _search(ZIPF9, 7, m, coeffs, zero_tail=True, two_group=True, three_group=True,
+                      tight=(np.array([n]), np.array([l])))
+        assert_same_solution(got, best)
+
+
+def seeded_instance(rng):
+    """A random instance: Zipf, custom, uniform or two-level step popularity."""
+    n, k = int(rng.integers(1, 21)), int(rng.integers(1, 10))
+    kind = int(rng.integers(4))
+    if kind == 0:
+        model = make_zipf(n, float(rng.uniform(0.0, 2.5)))
+    elif kind == 1:
+        model = make_custom(random_popularity(rng, n))
+    elif kind == 2 or n == 1:
+        model = make_custom([f"1/{n}"] * n)
+    else:
+        head, weight = int(rng.integers(1, n)), int(rng.integers(2, 7))
+        total = head * weight + n - head
+        model = make_step([(f"{weight}/{total}", head), (f"1/{total}", n - head)])
+    m = [0.0, float(n), int(rng.integers(0, 2 * n + 1)) / 2,
+         int(rng.integers(1, n + 1)) * int(rng.integers(0, k + 1)) / k,
+         round(float(rng.uniform(0.0, n)), 2)][int(rng.integers(5))]
+    return model, k, m
+
+
+def test_algorithm4_matches_full_search_seeded(monkeypatch):
+    # a fallback to the full search would make the comparison trivial
+    fallbacks = []
+
+    def search(*args, **kw):
+        if kw.get("tight") is None:
+            fallbacks.append(args)
+        return _search(*args, **kw)
+
+    monkeypatch.setattr(solver, "_search", search)
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        model, k, m = seeded_instance(rng)
+        coeffs = coeffs_for(model, k)
+        assert_same_solution(algorithm4(model, k, m, coeffs=coeffs), full_search(model, k, m, coeffs))
+    assert fallbacks == []
+
+
+class TestDualLemma:
+    """rate - D = a_{1,0} slack_0 + sum u_{n,l} slack_{n,l}, the identity algorithm4 prunes by."""
+
+    STEP = make_step([("1/4", 2), ("1/12", 6)])
+    INSTANCES = [
+        (ZIPF9, 7, 1.0), (ZIPF9, 7, 2.5), (ZIPF9, 7, 5.5), (ZIPF9, 7, 6.0),
+        (STEP, 4, 2.0), (STEP, 4, 1.5), (STEP, 3, 8 / 3),
+        (make_custom(["1/6"] * 6), 4, 2.5), (make_zipf(8, 0.7), 5, 3.2),
+        # 9 and 6 tied candidates
+        (make_step([("1/4", 3), ("1/20", 5)]), 2, 5.5), (make_step([("5/18", 3), ("1/18", 3)]), 3, 4.5),
+    ]
+
+    @staticmethod
+    def candidates(n, k, m):
+        """Feasible zero-tail, case 2.i and 2.ii placements of n_eff files, padded to N files."""
+        shapes = [(one_group_placement, n_o, ()) for n_o in range(1, n + 1) if m <= n_o]
+        for n_eff in range(2, n + 1):
+            for n_o in range(1, n_eff):
+                for l_o in range(1, k + 1):
+                    shapes.append((case2i_placement, n_eff, (n_o, l_o)))
+                    shapes += [(case2ii_placement, n_eff, (n_o, l_o, l_1)) for l_1 in range(1, k + 1)]
+        for build, n_eff, tup in shapes:
+            try:
+                head = build(n_eff, k, m, *tup)
+            except InfeasibleCaseError:
+                continue
+            tail = np.zeros((n - n_eff, k + 1))
+            tail[:, 0] = 1.0
+            yield PlacementMatrix(n, k, np.vstack([head.a, tail]))
+
+    @pytest.mark.parametrize("model, k, m", INSTANCES)
+    def test_weights_and_slack(self, model, k, m):
+        n = model.n_files
+        coeffs = coeffs_for(model, k)
+        lambda_1, mu = dual_optimum(coeffs, m)
+        intercepts, slopes = _dual_lines(coeffs)
+        slack = np.concatenate(([coeffs.g[0, 0] - lambda_1],
+                                (intercepts - slopes * mu - lambda_1).ravel()))
+        dual = dual_value(coeffs, m, lambda_1, mu)
+        best = algorithm4(model, k, m, coeffs=coeffs).rate
+        tight = TIGHT_TOL * max(1.0, abs(lambda_1) + abs(mu) * m)
+        near = 0
+        for placement in self.candidates(n, k, m):
+            a = placement.a
+            u = partition_weights(k)[1:] * (a[:, 1:] - np.vstack([a[1:, 1:], np.zeros(k)]))
+            weights = np.concatenate(([a[0, 0]], u.ravel()))
+            assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.count_nonzero(np.abs(weights) > 1e-12) <= 2
+            rate = average_rate(placement, coeffs)
+            assert abs(rate - dual - weights @ slack) <= 1e-12
+            if rate <= best + TIE_TOL:
+                near += 1
+                assert slack[np.argmax(weights)] <= tight
+        assert near >= 1
