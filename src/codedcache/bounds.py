@@ -150,7 +150,4 @@ def bound_proposed(
         n_o = algorithm4(model, k_users, cache).first_group_size
     if not 1 <= n_o <= model.n_files:
         raise InvalidParameterError(f"n_o={n_o} outside 1..{model.n_files}")
-    p_threshold = float(model.probs[n_o - 1])
-    n_merged = merge_count(model, n_o, p_threshold)
-    value, clamped = bound_value(k_users, p_threshold, n_o, n_merged, cache)
-    return BoundReport(BoundScheme.PROPOSED, p_threshold, n_o, n_merged, value, clamped)
+    return _report(BoundScheme.PROPOSED, model, k_users, cache, float(model.probs[n_o - 1]), n_o)

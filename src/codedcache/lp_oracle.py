@@ -6,11 +6,11 @@ rate functional subject to per-file partition equalities, the global
 cache equality, popularity-first ordering, and the reduced sign
 constraints (last row's cached entries and the first file's server share;
 the rest of the nonnegativity is implied by the ordering).  Its dual has
-two free variables; ``solver.dual_optimum`` solves it exactly at any
-size, ``algorithm4`` searches from it, and ``certify`` checks the
-candidate against it.  The dense two-phase simplex (``solve``) shares no
-code with the dual or the closed-form search and is the tests'
-independent reference.
+two free variables; ``solver.solve_dual`` solves it exactly at any size,
+``algorithm4`` searches from it and returns it with the winner, and
+``certify`` reads that certificate.  The dense two-phase simplex
+(``solve``) shares no code with the dual or the closed-form search and is
+the tests' independent reference.
 """
 
 from __future__ import annotations
@@ -37,12 +37,11 @@ from .placement import (
     ZERO_TOL,
     RateCoefficients,
     analyze_groups,
-    rate_coefficients,
     subpacketization,
     worst_case_subpacketization_bound,
 )
-from .popularity import PopularityModel, order_stats
-from .solver import CandidateSolution, _dual_lines, algorithm4, dual_optimum, dual_value
+from .popularity import PopularityModel
+from .solver import CandidateSolution, algorithm4
 
 PIVOT_TOL = 1e-9
 OPT_TOL = 1e-8
@@ -244,21 +243,17 @@ class CertificationReport:
 
 
 def certify(model: PopularityModel, k_users: int, cache: float) -> CertificationReport:
-    """Certify the closed-form optimum with the exact optimum of the LP dual."""
-    coeffs = rate_coefficients(model, order_stats(model, k_users))
-    candidate = algorithm4(model, k_users, cache, coeffs=coeffs)
-    lambda_1, mu = dual_optimum(coeffs, cache)
-    intercepts, slopes = _dual_lines(coeffs)
-    slack = float(min(coeffs.g[0, 0] - lambda_1, np.min(intercepts - slopes * mu - lambda_1)))
-    lp_rate = dual_value(coeffs, cache, lambda_1, mu)
+    """Certify the closed-form optimum with the exact LP dual ``algorithm4`` searched from."""
+    candidate = algorithm4(model, k_users, cache)
+    dual = candidate.dual
     return CertificationReport(
-        lp_rate=lp_rate,
+        lp_rate=dual.value,
         alg_rate=candidate.rate,
-        gap=candidate.rate - lp_rate,
+        gap=candidate.rate - dual.value,
         candidate=candidate,
-        lambda_1=lambda_1,
-        mu=mu,
-        dual_slack=slack,
+        lambda_1=dual.lambda_1,
+        mu=dual.mu,
+        dual_slack=float(min(dual.slack_0, dual.slack.min())),
         primal_violations=tuple(candidate.placement.violations(cache)),
     )
 

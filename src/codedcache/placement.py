@@ -31,8 +31,9 @@ POPFIRST_TOL = 1e-9
 #: Threshold below which an a_{n,l} entry counts as zero in structure analysis.
 ZERO_TOL = 1e-9
 
-#: Largest n for which C(n, r) is guaranteed to stay exact in a float64
-#: accumulation downstream (C(62, 31) < 2^60).
+#: Largest n of a supported C(n, r).  It keeps the int64 subfile counts
+#: C(K, l) of ``subpacketization`` and ``delivery.realize``, and their sum
+#: over l, below sum_r C(62, r) = 2^62 < 2^63, so they cannot overflow.
 MAX_BINOM_N = 62
 
 
@@ -198,15 +199,10 @@ class FileGroupReport:
 
 def analyze_groups(placement: PlacementMatrix, tol: float = ZERO_TOL) -> FileGroupReport:
     """Split files into groups of (elementwise) equal consecutive rows."""
-    labels = [1]
-    boundaries = []
-    for n in range(1, placement.n_files):
-        if np.any(np.abs(placement.a[n] - placement.a[n - 1]) > tol):
-            boundaries.append(n)
-            labels.append(labels[-1] + 1)
-        else:
-            labels.append(labels[-1])
-    return FileGroupReport(labels[-1], tuple(boundaries), tuple(labels))
+    split = np.any(np.abs(np.diff(placement.a, axis=0)) > tol, axis=1)  # rows i and i + 1 differ
+    labels = 1 + np.concatenate(([0], np.cumsum(split)))
+    boundaries = np.flatnonzero(split) + 1
+    return FileGroupReport(int(labels[-1]), tuple(boundaries.tolist()), tuple(labels.tolist()))
 
 
 @dataclass(frozen=True)
@@ -222,7 +218,7 @@ def subpacketization(placement: PlacementMatrix, tol: float = ZERO_TOL) -> Subpa
     """L_n = sum over l with a_{n,l} > tol of C(K, l)."""
     k = placement.k_users
     counts = np.array([binom_ext(k, l) for l in range(k + 1)], dtype=np.int64)
-    per_file = tuple(int((counts * (row > tol)).sum()) for row in placement.a)
+    per_file = tuple(((placement.a > tol).astype(np.int64) @ counts).tolist())
     return SubpacketizationReport(per_file, max(per_file), sum(per_file) / len(per_file))
 
 

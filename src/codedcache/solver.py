@@ -22,7 +22,9 @@ n_eff = N for two groups and n_1 for three.  A search masks infeasible
 tuples and picks the winner by the set rule of ``TIE_TOL``; only the
 winner is materialized.  ``algorithm1/2/3`` search every tuple of their
 family.  ``algorithm4`` searches all three, but the LP dual
-(``dual_optimum``) limits it to O(N K) tuples instead of O(N^2 K^2).
+(``solve_dual``) limits it to O(N K) tuples instead of O(N^2 K^2); it
+solves the dual once and returns it with the winner, as the certificate
+``lp_oracle.certify`` reads.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -98,6 +100,7 @@ class CandidateSolution:
     n_1: int | None = None
     l_o: int | None = None
     l_1: int | None = None
+    dual: Dual | None = field(default=None, compare=False, repr=False)  # set by algorithm4 only
 
     @property
     def groups(self) -> int:
@@ -275,24 +278,27 @@ def case2ii_placement(
 # LP dual
 
 
-def _dual_lines(coeffs: RateCoefficients) -> tuple[np.ndarray, np.ndarray]:
-    """Intercepts and slopes of the dual's lines in mu, for n = 1..N and l = 1..K.
+class Dual(NamedTuple):
+    """The exact optimum (lambda_1, mu) of the placement LP's dual, its value and slacks.
 
     The placement LP (``lp_oracle.build_p2``) has a free a_{n,0} for every
     n >= 2, in one partition row only, so its dual is lambda_n = g_{n,0}
     (= K p_n).  Summing the dual constraints of a_{1,l} .. a_{n,l} leaves
-    one inequality per (n, l):
+    one line in mu per (n, l), n = 1..N and l = 1..K:
     lambda_1 <= G_{n,l} / C(K,l) - S_n - (n l / K) mu, where
-    G_{n,l} = sum_{i<=n} g_{i,l} and S_n = sum_{i=2..n} g_{i,0}.
+    G_{n,l} = sum_{i<=n} g_{i,l} and S_n = sum_{i=2..n} g_{i,0}.  ``slack``
+    holds these lines' slacks (row n-1, column l-1), ``slack_0`` that of
+    lambda_1 <= g_{1,0}, and ``value`` is lambda_1 + sum_{n>=2} g_{n,0} + mu M.
     """
-    g = coeffs.g
-    rest = np.concatenate(([0.0], np.cumsum(g[1:, 0])))
-    intercepts = np.cumsum(g[:, 1:], axis=0) / coeffs.b[1:] - rest[:, None]
-    slopes = np.outer(np.arange(1, coeffs.n_files + 1), np.arange(1, coeffs.k_users + 1))
-    return intercepts, slopes / coeffs.k_users
+
+    lambda_1: float
+    mu: float
+    value: float
+    slack: np.ndarray
+    slack_0: float
 
 
-def dual_optimum(coeffs: RateCoefficients, cache: float) -> tuple[float, float]:
+def solve_dual(coeffs: RateCoefficients, cache: float) -> Dual:
     """(lambda_1, mu) maximizing lambda_1 + mu M under the dual's N K + 1 lines.
 
     With the line lambda_1 <= g_{1,0} of slope 0, the feasible lambda_1
@@ -301,12 +307,16 @@ def dual_optimum(coeffs: RateCoefficients, cache: float) -> tuple[float, float]:
     the breakpoint where the envelope's slope passes M: the objective
     rises with mu along pieces of slope below M and falls after.
     """
-    intercepts, slopes = _dual_lines(coeffs)
+    g = coeffs.g
+    rest = np.concatenate(([0.0], np.cumsum(g[1:, 0])))
+    intercepts = np.cumsum(g[:, 1:], axis=0) / coeffs.b[1:] - rest[:, None]
+    n, k = coeffs.n_files, coeffs.k_users
+    slopes = np.outer(np.arange(1, n + 1), np.arange(1, k + 1)) / k
     order = np.lexsort((intercepts.ravel(), slopes.ravel()))
-    slopes, intercepts = slopes.ravel()[order], intercepts.ravel()[order]
-    first = np.flatnonzero(np.diff(slopes, prepend=0.0))  # lowest intercept per slope
-    xs, ys = [0.0], [float(coeffs.g[0, 0])]  # the envelope's lines as (slope, intercept)
-    for s, c in zip(slopes[first].tolist(), intercepts[first].tolist()):
+    by_slope, by_intercept = slopes.ravel()[order], intercepts.ravel()[order]
+    first = np.flatnonzero(np.diff(by_slope, prepend=0.0))  # lowest intercept per slope
+    xs, ys = [0.0], [float(g[0, 0])]  # the envelope's lines as (slope, intercept)
+    for s, c in zip(by_slope[first].tolist(), by_intercept[first].tolist()):
         # drop the last line while it is nowhere below its neighbours
         while len(xs) >= 2 and (xs[-1] - xs[-2]) * (c - ys[-2]) <= (ys[-1] - ys[-2]) * (s - xs[-2]):
             xs.pop()
@@ -315,12 +325,9 @@ def dual_optimum(coeffs: RateCoefficients, cache: float) -> tuple[float, float]:
         ys.append(c)
     i = min(bisect.bisect_right(xs, cache), len(xs) - 1) - 1
     mu = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])  # where lines i and i + 1 cross
-    return ys[i] - xs[i] * mu, mu
-
-
-def dual_value(coeffs: RateCoefficients, cache: float, lambda_1: float, mu: float) -> float:
-    """The dual objective lambda_1 + sum_{n>=2} g_{n,0} + mu M."""
-    return lambda_1 + float(np.sum(coeffs.g[1:, 0])) + mu * cache
+    lambda_1 = ys[i] - xs[i] * mu
+    value = lambda_1 + float(np.sum(g[1:, 0])) + mu * cache
+    return Dual(lambda_1, mu, value, intercepts - slopes * mu - lambda_1, float(g[0, 0] - lambda_1))
 
 
 # ---------------------------------------------------------------------------
@@ -477,17 +484,17 @@ def algorithm4(
     found has 4 (rate - D + TIE_TOL) <= the scaled TIGHT_TOL, every
     candidate in the set rule's window has a line with at most half that
     slack, so all of them were evaluated and the winner is the full
-    search's, bit for bit; otherwise the full search runs.
+    search's, bit for bit; otherwise the full search runs.  Either way the
+    winner carries the dual as ``dual``.
     """
     _check_cache(model, cache)
     if coeffs is None:
         coeffs = rate_coefficients(model, order_stats(model, k_users))
-    lambda_1, mu = dual_optimum(coeffs, cache)
-    intercepts, slopes = _dual_lines(coeffs)
-    tol = TIGHT_TOL * max(1.0, abs(lambda_1) + abs(mu) * cache)
-    tight_n, tight_l = np.nonzero(intercepts - slopes * mu - lambda_1 <= tol)
+    dual = solve_dual(coeffs, cache)
+    tol = TIGHT_TOL * max(1.0, abs(dual.lambda_1) + abs(dual.mu) * cache)
+    tight_n, tight_l = np.nonzero(dual.slack <= tol)
     families = {"zero_tail": True, "two_group": True, "three_group": True}
     best = _search(model, k_users, cache, coeffs, tight=(tight_n + 1, tight_l + 1), **families)
-    if 4.0 * (best.rate - dual_value(coeffs, cache, lambda_1, mu) + TIE_TOL) > tol:
-        return _search(model, k_users, cache, coeffs, **families)
-    return best
+    if 4.0 * (best.rate - dual.value + TIE_TOL) > tol:
+        best = _search(model, k_users, cache, coeffs, **families)
+    return replace(best, dual=dual)

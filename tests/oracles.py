@@ -178,6 +178,26 @@ def random_popularity_first_placement(rng, n: int, k: int):
     return a, d
 
 
+def analyze_groups_rows(placement, tol: float):
+    """(group_count, boundaries, group_labels) of ``analyze_groups``, one row pair at a time."""
+    labels = [1]
+    boundaries = []
+    for n in range(1, placement.n_files):
+        if np.any(np.abs(placement.a[n] - placement.a[n - 1]) > tol):
+            boundaries.append(n)
+            labels.append(labels[-1] + 1)
+        else:
+            labels.append(labels[-1])
+    return labels[-1], tuple(boundaries), tuple(labels)
+
+
+def subpacketization_rows(placement, tol: float) -> tuple[int, ...]:
+    """``subpacketization``'s per-file subfile counts, one row at a time."""
+    k = placement.k_users
+    counts = np.array([math.comb(k, l) for l in range(k + 1)], dtype=np.int64)
+    return tuple(int((counts * (row > tol)).sum()) for row in placement.a)
+
+
 # ---------------------------------------------------------------------------
 # Scalar candidate search: every (n_o, n_1, l_o, l_1) tuple in plain loops,
 # each feasible one materialized and priced with ``average_rate``.

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from codedcache import solver
 from codedcache.lp_oracle import (
     LinearProgram,
     build_p2,
     certify,
-    dual_optimum,
     solve,
+    verify_instance,
 )
 from codedcache.placement import (
     ZERO_TOL,
@@ -21,7 +22,7 @@ from codedcache.placement import (
     rate_coefficients,
 )
 from codedcache.popularity import make_custom, make_step, make_zipf, order_stats
-from codedcache.solver import algorithm4, one_group_placement
+from codedcache.solver import algorithm4, one_group_placement, solve_dual
 
 from oracles import random_popularity, random_popularity_first_placement
 
@@ -254,13 +255,34 @@ class TestDual:
         assert y_ge.min() >= -1e-9
         assert report.lp_rate == pytest.approx(float(lp.b_eq @ y_eq), abs=1e-12)
 
+    def test_one_dual_solve_per_certificate(self, monkeypatch):
+        """certify and verify_instance read the dual algorithm4 solved; nothing solves it again."""
+        calls = []
+        solve_once = solver.solve_dual
+
+        def counting(*args):
+            calls.append(args)
+            return solve_once(*args)
+
+        monkeypatch.setattr(solver, "solve_dual", counting)
+        for model, k, m in ((make_zipf(9, 1.5), 7, 2.5), (make_zipf(30, 1.0), 9, 3.0)):
+            calls.clear()
+            report = certify(model, k, m)
+            assert len(calls) == 1
+            dual = algorithm4(model, k, m).dual
+            assert (report.lambda_1, report.mu, report.lp_rate) == (dual.lambda_1, dual.mu, dual.value)
+            assert report.dual_slack == min(dual.slack_0, dual.slack.min())
+            calls.clear()
+            verify_instance(model, k, m, trials=200, seed=1, demands=1)
+            assert len(calls) == 1
+
     def test_large_instance_is_fast(self):
         model = make_zipf(1000, 1.0)
         coeffs = coeffs_for(model, 30)
         start = time.perf_counter()
-        lambda_1, mu = dual_optimum(coeffs, 250.0)
+        dual = solve_dual(coeffs, 250.0)
         assert time.perf_counter() - start < 0.5
-        assert np.isfinite(lambda_1) and np.isfinite(mu)
+        assert np.isfinite(dual.lambda_1) and np.isfinite(dual.mu)
 
 
 @seed(1907)

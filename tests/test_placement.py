@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from codedcache.errors import (
     BinomialRangeError,
@@ -10,6 +12,7 @@ from codedcache.errors import (
     PopularityFirstError,
 )
 from codedcache.placement import (
+    ZERO_TOL,
     PlacementMatrix,
     analyze_groups,
     average_rate,
@@ -24,9 +27,11 @@ from codedcache.popularity import make_custom, make_zipf, order_stats
 
 from golden import GOLDEN_PLACEMENTS
 from oracles import (
+    analyze_groups_rows,
     delivery_rate_exhaustive,
     random_popularity,
     random_popularity_first_placement,
+    subpacketization_rows,
 )
 
 
@@ -155,6 +160,23 @@ class TestGroups:
     def test_labels(self):
         report = analyze_groups(golden_matrix(2.5))
         assert report.group_labels == (1, 1, 1, 1, 2, 2, 3, 3, 3)
+
+
+@seed(2330)
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_structure_matches_row_loops(data):
+    """Groups and subfile counts agree with the row-by-row loops, N = 1 and ties at tol included."""
+    n, k = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 6))
+    tol = data.draw(st.sampled_from([ZERO_TOL, 1e-7]))
+    # 0 and tol differ by exactly tol (one group); tol itself is not above tol
+    entry = st.one_of(st.sampled_from([0.0, tol, 2.0 * tol, -tol, 0.5, 0.5 + tol]), st.floats(0.0, 1.0))
+    a = np.array(data.draw(st.lists(st.lists(entry, min_size=k + 1, max_size=k + 1),
+                                    min_size=n, max_size=n)))
+    placement = PlacementMatrix(n, k, a)
+    report = analyze_groups(placement, tol)
+    assert (report.group_count, report.boundaries, report.group_labels) == analyze_groups_rows(placement, tol)
+    assert subpacketization(placement, tol).per_file == subpacketization_rows(placement, tol)
 
 
 class TestSubpacketization:

@@ -20,7 +20,6 @@ from codedcache.solver import (
     TIE_TOL,
     TIGHT_TOL,
     PlacementCase,
-    _dual_lines,
     _search,
     algorithm1,
     algorithm2,
@@ -28,9 +27,8 @@ from codedcache.solver import (
     algorithm4,
     case2i_placement,
     case2ii_placement,
-    dual_optimum,
-    dual_value,
     one_group_placement,
+    solve_dual,
 )
 
 from golden import GOLDEN_CASES, GOLDEN_PLACEMENTS
@@ -446,6 +444,20 @@ def test_algorithm4_matches_full_search_seeded(monkeypatch):
     assert fallbacks == []
 
 
+def test_only_algorithm4_carries_the_dual(monkeypatch):
+    model, k, m = ZIPF9, 7, 2.5
+    coeffs = coeffs_for(model, k)
+    for algo in (algorithm1, algorithm2, algorithm3):
+        assert algo(model, k, m, coeffs=coeffs).dual is None
+    best = algorithm4(model, k, m, coeffs=coeffs)
+    assert best.dual.value == solve_dual(coeffs, m).value
+    # no line is tight below a negative tolerance, so the full search runs
+    monkeypatch.setattr(solver, "TIGHT_TOL", -1.0)
+    fallback = algorithm4(model, k, m, coeffs=coeffs)
+    assert_same_solution(fallback, best)
+    assert fallback.dual.value == best.dual.value
+
+
 class TestDualLemma:
     """rate - D = a_{1,0} slack_0 + sum u_{n,l} slack_{n,l}, the identity algorithm4 prunes by."""
 
@@ -480,13 +492,10 @@ class TestDualLemma:
     def test_weights_and_slack(self, model, k, m):
         n = model.n_files
         coeffs = coeffs_for(model, k)
-        lambda_1, mu = dual_optimum(coeffs, m)
-        intercepts, slopes = _dual_lines(coeffs)
-        slack = np.concatenate(([coeffs.g[0, 0] - lambda_1],
-                                (intercepts - slopes * mu - lambda_1).ravel()))
-        dual = dual_value(coeffs, m, lambda_1, mu)
+        dual = solve_dual(coeffs, m)
+        slack = np.concatenate(([dual.slack_0], dual.slack.ravel()))
         best = algorithm4(model, k, m, coeffs=coeffs).rate
-        tight = TIGHT_TOL * max(1.0, abs(lambda_1) + abs(mu) * m)
+        tight = TIGHT_TOL * max(1.0, abs(dual.lambda_1) + abs(dual.mu) * m)
         near = 0
         for placement in self.candidates(n, k, m):
             a = placement.a
@@ -495,7 +504,7 @@ class TestDualLemma:
             assert weights.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.count_nonzero(np.abs(weights) > 1e-12) <= 2
             rate = average_rate(placement, coeffs)
-            assert abs(rate - dual - weights @ slack) <= 1e-12
+            assert abs(rate - dual.value - weights @ slack) <= 1e-12
             if rate <= best + TIE_TOL:
                 near += 1
                 assert slack[np.argmax(weights)] <= tight
