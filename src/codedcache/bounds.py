@@ -109,15 +109,22 @@ def bound_generic(
     return BoundReport(BoundScheme.GENERIC, p_threshold, n_popular, 0, value, clamped)
 
 
+def _fixed_threshold(k_users: int, cache: float) -> float:
+    """p' = 1 / (K * max{3, M}) of the prior schemes."""
+    if k_users < 1:
+        raise InvalidParameterError("k_users must be >= 1")
+    return 1.0 / (k_users * max(3.0, cache))
+
+
 def bound_two_group(model: PopularityModel, k_users: int, cache: float) -> BoundReport:
     """Fixed-threshold scheme: p' = 1 / (K * max{3, M})."""
-    p_threshold = 1.0 / (k_users * max(3.0, cache))
+    p_threshold = _fixed_threshold(k_users, cache)
     return _report(BoundScheme.TWO_GROUP_PRIOR, model, k_users, cache, p_threshold)
 
 
 def bound_exhaustive(model: PopularityModel, k_users: int, cache: float) -> BoundReport:
     """Best threshold among the files less popular than the fixed one."""
-    p_fixed = 1.0 / (k_users * max(3.0, cache))
+    p_fixed = _fixed_threshold(k_users, cache)
     start = popular_count(model, p_fixed) + 1
     best: BoundReport | None = None
     for n in range(start, model.n_files + 1):

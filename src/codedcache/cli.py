@@ -7,7 +7,9 @@ Subcommands:
   verify   LP-dual certification + Monte Carlo + bit-exact decode checks
 
 Exit codes: 0 success, 2 configuration error, 4 verification failure.
-The LP dual has two free variables, so ``verify`` has no size limit.
+K ranges over 1..62: the subfile counts C(K, l) are int64.  The LP dual
+has two free variables, so certification has no size limit, but
+``verify``'s bit-exact decode builds the table of all 2^K user subsets.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import argparse
 import functools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -224,6 +225,9 @@ def cmd_sweep(args) -> int:
     row = functools.partial(_sweep_row, model, k, rate_coefficients(model, order_stats(model, k)))
     jobs = _setting(args, config, "jobs", default=1)
     if jobs > 1:
+        # imported here, not at module load, where it would slow every start
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(row, grid))
     else:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DecodeError, InvalidFileSizeError, InvalidParameterError
 from .placement import ZERO_TOL, PlacementMatrix
-from .popularity import PopularityModel
+from .popularity import PopularityModel, binomials
 
 
 def _int_to_bytes(x: int, nbits: int) -> bytes:
@@ -50,11 +50,6 @@ def _subsets(k_users: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...]
         masks.append(mask)
         members.append(tuple(b for b in bits if mask & b))
     return tuple((tuple(masks), tuple(members)) for masks, members in levels)
-
-
-def subset_order(k_users: int) -> list[int]:
-    """All user-subset bitmasks, size ascending then mask ascending."""
-    return [mask for masks, _ in _subsets(k_users) for mask in masks]
 
 
 @dataclass(frozen=True)
@@ -127,15 +122,6 @@ class PlacementRealization:
     def subfile(self, file_index0: int, mask: int) -> int:
         return self.subfiles.get((file_index0, mask), 0)
 
-    def cached_bits(self, user: int) -> int:
-        """Total bits user k keeps, for checking the cache budget."""
-        bit = 1 << (user - 1)
-        return sum(
-            int(self.sizes[n, mask.bit_count()])
-            for (n, mask) in self.subfiles
-            if mask & bit
-        )
-
 
 def realize(placement: PlacementMatrix, library: FileLibrary) -> PlacementRealization:
     """Slice every file into its subfiles and fill the user caches."""
@@ -151,8 +137,7 @@ def realize(placement: PlacementMatrix, library: FileLibrary) -> PlacementRealiz
             f"use a multiple of {minimal_file_size(placement)} bits",
             minimal_size=minimal_file_size(placement),
         )
-    counts = np.array([math.comb(k, l) for l in range(k + 1)], dtype=np.int64)
-    if np.any(sizes @ counts != f_bits):
+    if np.any(sizes @ binomials(k)[k] != f_bits):
         raise InvalidFileSizeError(
             f"rounded subfile sizes do not add up to F={f_bits}; "
             f"use a multiple of {minimal_file_size(placement)} bits",
@@ -321,16 +306,7 @@ def monte_carlo_rate(
     for level in range(k):
         values = placement.a[demands0, level]
         values.sort(axis=1)
-        rates += values @ np.array([math.comb(j, level) for j in range(k)], dtype=float)
+        rates += values @ binomials(k)[:k, level].astype(float)
     mean = float(rates.mean())
     stderr = float(rates.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return MonteCarloResult(mean, stderr, trials, seed)
-
-
-def per_user_cache_ok(realization: PlacementRealization, cache_size: float) -> bool:
-    """Every user's cached bits stay within M * F."""
-    budget = cache_size * realization.file_size_bits
-    return all(
-        realization.cached_bits(user) <= budget + 1e-6 * realization.file_size_bits
-        for user in range(1, realization.k_users + 1)
-    )

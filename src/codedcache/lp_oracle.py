@@ -28,20 +28,18 @@ from .delivery import (
     sample_demands,
     serve,
 )
-from .errors import (
-    DecodeError,
-    InvalidParameterError,
-    SolverStalledError,
-)
+from .errors import DecodeError, SolverStalledError
 from .placement import (
     ZERO_TOL,
     RateCoefficients,
     analyze_groups,
+    cache_weights,
+    partition_weights,
     subpacketization,
     worst_case_subpacketization_bound,
 )
 from .popularity import PopularityModel
-from .solver import CandidateSolution, algorithm4
+from .solver import CandidateSolution, algorithm4, check_cache
 
 PIVOT_TOL = 1e-9
 OPT_TOL = 1e-8
@@ -85,17 +83,17 @@ def build_p2(
 ) -> LinearProgram:
     """The placement LP over variables x[n * (K+1) + l] = a_{n,l}."""
     n, k = model.n_files, k_users
-    if not 0.0 <= cache <= n:
-        raise InvalidParameterError(f"cache size {cache!r} outside [0, {n}]")
+    check_cache(n, cache)
     width = k + 1
     n_vars = n * width
 
     a_eq = np.zeros((n + 1, n_vars))
     b_eq = np.zeros(n + 1)
+    binoms = partition_weights(k)
     for i in range(n):  # partition: each file's subfiles add up to the file
-        a_eq[i, i * width : (i + 1) * width] = coeffs.b
+        a_eq[i, i * width : (i + 1) * width] = binoms
         b_eq[i] = 1.0
-    a_eq[n] = np.tile(coeffs.c, n)  # cache memory fully used
+    a_eq[n] = np.tile(cache_weights(k), n)  # cache memory fully used
     b_eq[n] = cache
 
     rows = []

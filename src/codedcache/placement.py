@@ -16,13 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BinomialRangeError,
-    DimensionMismatchError,
-    InvalidParameterError,
-    PopularityFirstError,
-)
-from .popularity import OrderStatTable, PopularityModel, as_int
+from .errors import DimensionMismatchError, InvalidParameterError, PopularityFirstError
+from .popularity import OrderStatTable, PopularityModel, as_int, binomials
 
 PARTITION_TOL = 1e-9
 CACHE_TOL = 1e-9
@@ -31,31 +26,21 @@ POPFIRST_TOL = 1e-9
 #: Threshold below which an a_{n,l} entry counts as zero in structure analysis.
 ZERO_TOL = 1e-9
 
-#: Largest n of a supported C(n, r).  It keeps the int64 subfile counts
-#: C(K, l) of ``subpacketization`` and ``delivery.realize``, and their sum
-#: over l, below sum_r C(62, r) = 2^62 < 2^63, so they cannot overflow.
-MAX_BINOM_N = 62
-
 
 def binom_ext(n: int, r: int) -> int:
     """Binomial coefficient extended to 0 outside 0 <= r <= n."""
-    if n < 0:
-        raise InvalidParameterError("binom_ext requires n >= 0")
-    if n > MAX_BINOM_N:
-        raise BinomialRangeError(f"C({n}, {r}) exceeds the supported exact range (n <= {MAX_BINOM_N})")
-    if r < 0 or r > n:
-        return 0
-    return math.comb(n, r)
+    row = binomials(n)[n]
+    return int(row[r]) if 0 <= r <= n else 0
 
 
 def partition_weights(k_users: int) -> np.ndarray:
-    """b_l = C(K, l) for l = 0..K (per-file partition constraint)."""
-    return np.array([binom_ext(k_users, l) for l in range(k_users + 1)], dtype=float)
+    """b_l = C(K, l) for l = 0..K (per-file partition constraint), as a fresh array."""
+    return binomials(k_users)[k_users].astype(float)
 
 
 def cache_weights(k_users: int) -> np.ndarray:
-    """c_l = C(K-1, l-1) for l = 0..K, with c_0 = 0 (per-user cache usage)."""
-    return np.array([binom_ext(k_users - 1, l - 1) for l in range(k_users + 1)], dtype=float)
+    """c_l = C(K-1, l-1) for l = 0..K, with c_0 = 0 (per-user cache usage), as a fresh array."""
+    return np.concatenate(([0.0], binomials(k_users - 1)[-1]))
 
 
 @dataclass(frozen=True)
@@ -151,14 +136,12 @@ class RateCoefficients:
     """Weights of the average-rate functional.
 
     g_{n,l} = sum_{m=1}^{K} C(K-m, l) Pr[Y_m = n]; the l = 0 column reduces
-    to K * p_n.  b and c are the partition and cache weight vectors.
+    to K * p_n.
     """
 
     n_files: int
     k_users: int
     g: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
 
 
 def rate_coefficients(model: PopularityModel, ystats: OrderStatTable) -> RateCoefficients:
@@ -168,13 +151,11 @@ def rate_coefficients(model: PopularityModel, ystats: OrderStatTable) -> RateCoe
             f"order-stat table covers {ystats.n_files} files, model has {model.n_files}"
         )
     k = ystats.k_users
-    # weight[m-1, l] = C(K-m, l); the l = 0 column is all ones, so the same
-    # contraction yields g_{n,0} = sum_m Pr[Y_m = n] = K * p_n.
-    weight = np.array(
-        [[binom_ext(k - m, l) for l in range(k + 1)] for m in range(1, k + 1)], dtype=float
-    )
+    # weight[m-1, l] = C(K-m, l): rows K-1..0 of the table.  The l = 0 column
+    # is all ones, so the same contraction yields g_{n,0} = sum_m Pr[Y_m = n] = K * p_n.
+    weight = binomials(k)[k - 1 :: -1].astype(float)
     g = ystats.probs.T @ weight
-    return RateCoefficients(model.n_files, k, g, partition_weights(k), cache_weights(k))
+    return RateCoefficients(model.n_files, k, g)
 
 
 def average_rate(placement: PlacementMatrix, coeffs: RateCoefficients) -> float:
@@ -217,8 +198,7 @@ class SubpacketizationReport:
 def subpacketization(placement: PlacementMatrix, tol: float = ZERO_TOL) -> SubpacketizationReport:
     """L_n = sum over l with a_{n,l} > tol of C(K, l)."""
     k = placement.k_users
-    counts = np.array([binom_ext(k, l) for l in range(k + 1)], dtype=np.int64)
-    per_file = tuple(((placement.a > tol).astype(np.int64) @ counts).tolist())
+    per_file = tuple(((placement.a > tol).astype(np.int64) @ binomials(k)[k]).tolist())
     return SubpacketizationReport(per_file, max(per_file), sum(per_file) / len(per_file))
 
 
@@ -226,6 +206,7 @@ def worst_case_subpacketization_bound(k_users: int) -> tuple[int, float]:
     """Worst-case max subpacketization: exact binomial value and its Stirling form."""
     if k_users < 1:
         raise InvalidParameterError("k_users must be >= 1")
-    exact = binom_ext(k_users, k_users // 2) + binom_ext(k_users, k_users // 2 + 1)
+    half = k_users // 2
+    exact = int(binomials(k_users)[k_users, half : half + 2].sum())
     stirling = math.sqrt(8.0 / math.pi) * math.exp(1.0 / (12.0 * k_users)) * 2.0**k_users / math.sqrt(k_users)
     return exact, stirling

@@ -18,10 +18,35 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidDistributionError, InvalidParameterError
+from .errors import BinomialRangeError, InvalidDistributionError, InvalidParameterError
 
 #: Absolute tolerance accepted on the sum of a user-supplied distribution.
 SUM_TOL = 1e-9
+
+#: Largest n of a supported C(n, r).  It keeps the int64 subfile counts
+#: C(K, l) of ``placement.subpacketization`` and ``delivery.realize``, and
+#: their sum over l, below sum_r C(62, r) = 2^62 < 2^63, so they cannot overflow.
+MAX_BINOM_N = 62
+
+# _BINOMIALS[i, r] = C(i, r), zero for r > i: the one place a binomial is computed.
+_BINOMIALS = np.array(
+    [[math.comb(i, r) for r in range(MAX_BINOM_N + 1)] for i in range(MAX_BINOM_N + 1)],
+    dtype=np.int64,
+)
+_BINOMIALS.flags.writeable = False
+
+
+def binomials(n: int) -> np.ndarray:
+    """Read-only int64 table of C(i, r) for 0 <= i, r <= n, zero where r > i.
+
+    Every binomial coefficient of the package is a row, a column or a
+    slice of it, so ``MAX_BINOM_N`` is checked here alone.
+    """
+    if n < 0:
+        raise InvalidParameterError(f"binomial coefficients need n >= 0, got n={n}")
+    if n > MAX_BINOM_N:
+        raise BinomialRangeError(f"C({n}, r) exceeds the supported exact range (n <= {MAX_BINOM_N})")
+    return _BINOMIALS[: n + 1, : n + 1]
 
 
 @dataclass(frozen=True)
@@ -212,7 +237,7 @@ def order_stats(model: PopularityModel, k_users: int) -> OrderStatTable:
     cum = np.concatenate(([0.0], np.minimum(np.cumsum(model.probs), 1.0)))
     cum[-1] = 1.0  # guard against cumsum rounding at the top
     js = np.arange(k + 1)
-    comb = np.array([math.comb(k, int(j)) for j in js], dtype=float)
+    comb = binomials(k)[k].astype(float)
     # binom[i, j] = C(K, j) * cum_i^j * (1 - cum_i)^(K - j), rows i = 0..N
     binom = comb * np.power.outer(cum, js) * np.power.outer(1.0 - cum, js[::-1])
     # tail[i, m] = Pr[at least m of K demands have index <= i] = Pr[Y_m <= i]

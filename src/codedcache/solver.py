@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleCaseError, InvalidParameterError
+from .errors import DimensionMismatchError, InfeasibleCaseError, InvalidParameterError
 from .placement import (
     PlacementMatrix,
     RateCoefficients,
@@ -242,10 +242,15 @@ def _check_tuple(n_files: int, k_users: int, n_o: int, *sizes: int) -> None:
         raise InfeasibleCaseError(f"cache-subgroup sizes {sizes} must lie in 1..{k_users}")
 
 
-def one_group_placement(n_files: int, k_users: int, cache: float) -> PlacementMatrix:
-    """Identical rows for all files (the uniform-popularity optimum)."""
+def check_cache(n_files: int, cache: float) -> None:
+    """Reject a cache size outside [0, N]."""
     if not 0.0 <= cache <= n_files:
         raise InvalidParameterError(f"cache size {cache!r} outside [0, {n_files}]")
+
+
+def one_group_placement(n_files: int, k_users: int, cache: float) -> PlacementMatrix:
+    """Identical rows for all files (the uniform-popularity optimum)."""
+    check_cache(n_files, cache)
     _, rows = _zero_tail(k_users, cache, n_files)
     return _matrix(n_files, k_users, rows)
 
@@ -309,8 +314,8 @@ def solve_dual(coeffs: RateCoefficients, cache: float) -> Dual:
     """
     g = coeffs.g
     rest = np.concatenate(([0.0], np.cumsum(g[1:, 0])))
-    intercepts = np.cumsum(g[:, 1:], axis=0) / coeffs.b[1:] - rest[:, None]
     n, k = coeffs.n_files, coeffs.k_users
+    intercepts = np.cumsum(g[:, 1:], axis=0) / partition_weights(k)[1:] - rest[:, None]
     slopes = np.outer(np.arange(1, n + 1), np.arange(1, k + 1)) / k
     order = np.lexsort((intercepts.ravel(), slopes.ravel()))
     by_slope, by_intercept = slopes.ravel()[order], intercepts.ravel()[order]
@@ -368,9 +373,14 @@ def _candidate(n: int, k: int, m: float, rate: float, key: tuple) -> CandidateSo
     )
 
 
-def _check_cache(model, cache) -> None:
-    if not 0.0 <= cache <= model.n_files:
-        raise InvalidParameterError(f"cache size {cache!r} outside [0, {model.n_files}]")
+def _checked_coefficients(model: PopularityModel, k: int, m: float, coeffs) -> RateCoefficients:
+    """Check M, then return ``coeffs`` if they are (model, K)'s, or compute them if None."""
+    check_cache(model.n_files, m)
+    if coeffs is None:
+        return rate_coefficients(model, order_stats(model, k))
+    if (coeffs.n_files, coeffs.k_users) != (model.n_files, k):
+        raise DimensionMismatchError(f"coefficients are for N={coeffs.n_files}, K={coeffs.k_users}")
+    return coeffs
 
 
 def _search(
@@ -394,9 +404,7 @@ def _search(
     dual lines: then only the two- and three-group tuples that weigh one
     of them are (see ``algorithm4``).  Tuples need n_o < n_eff.
     """
-    _check_cache(model, m)
-    if coeffs is None:
-        coeffs = rate_coefficients(model, order_stats(model, k))
+    coeffs = _checked_coefficients(model, k, m, coeffs)
     n = model.n_files
     pref = np.zeros((n + 1, k + 1))
     np.cumsum(coeffs.g, axis=0, out=pref[1:])
@@ -487,9 +495,7 @@ def algorithm4(
     search's, bit for bit; otherwise the full search runs.  Either way the
     winner carries the dual as ``dual``.
     """
-    _check_cache(model, cache)
-    if coeffs is None:
-        coeffs = rate_coefficients(model, order_stats(model, k_users))
+    coeffs = _checked_coefficients(model, k_users, cache, coeffs)
     dual = solve_dual(coeffs, cache)
     tol = TIGHT_TOL * max(1.0, abs(dual.lambda_1) + abs(dual.mu) * cache)
     tight_n, tight_l = np.nonzero(dual.slack <= tol)

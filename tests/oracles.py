@@ -71,7 +71,7 @@ def monte_carlo_rate_subsets(placement, model, trials: int, seed: int) -> MonteC
     return MonteCarloResult(mean, stderr, trials, seed)
 
 
-def _all_masks(k: int) -> list[int]:
+def all_masks(k: int) -> list[int]:
     """Every user-subset bitmask, size ascending then mask ascending."""
     return sorted(range(1 << k), key=lambda s: (s.bit_count(), s))
 
@@ -82,7 +82,7 @@ def realize_all_masks(placement, library) -> PlacementRealization:
     subfiles = {}
     for idx, data in enumerate(library.contents):
         offset = 0
-        for mask in _all_masks(placement.k_users):
+        for mask in all_masks(placement.k_users):
             size = int(sizes[idx, mask.bit_count()])
             if size:
                 field = int.from_bytes(data[offset // 8:(offset + size + 7) // 8], "little")
@@ -113,6 +113,25 @@ def serve_all_masks(realization, demand) -> DeliveryTranscript:
     return DeliveryTranscript(demand, messages, total)
 
 
+def cached_bits(realization, user: int) -> int:
+    """Total bits user k keeps: the subfiles whose mask holds the user's bit."""
+    bit = 1 << (user - 1)
+    return sum(
+        int(realization.sizes[n, mask.bit_count()])
+        for (n, mask) in realization.subfiles
+        if mask & bit
+    )
+
+
+def per_user_cache_ok(realization, cache_size: float) -> bool:
+    """Every user's cached bits stay within M * F."""
+    budget = cache_size * realization.file_size_bits
+    return all(
+        cached_bits(realization, user) <= budget + 1e-6 * realization.file_size_bits
+        for user in range(1, realization.k_users + 1)
+    )
+
+
 def decode_all_masks(realization, transcript, user: int) -> bytes:
     """``decode`` by visiting every mask; raises DecodeError unless bit-exact."""
     k = realization.k_users
@@ -120,7 +139,7 @@ def decode_all_masks(realization, transcript, user: int) -> bytes:
     demand = transcript.demand
     file_idx = demand[user - 1] - 1
     result = offset = 0
-    for mask in _all_masks(k):
+    for mask in all_masks(k):
         size = int(realization.sizes[file_idx, mask.bit_count()])
         if size == 0:
             continue

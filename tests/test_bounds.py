@@ -107,6 +107,12 @@ class TestPriorBound:
         assert clamped.value == 0.0 and clamped.clamped
 
 
+@pytest.mark.parametrize("bound", [bound_two_group, bound_exhaustive, bound_prior])
+def test_prior_bounds_reject_no_users(bound):
+    with pytest.raises(InvalidParameterError):
+        bound(make_zipf(5, 1.5), 0, 1.0)
+
+
 class TestProposedBound:
     def test_defaults_to_optimal_first_group(self):
         model = make_zipf(5, 1.5)

@@ -324,6 +324,15 @@ def test_module_entry_point():
     assert json.loads(result.stdout)["rate"] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep", "subpkt", "verify"])
+@pytest.mark.parametrize("k", [63, 1029, 1030, 2000])
+def test_users_beyond_exact_binomials_exit_2(capsys, command, k):
+    """K > 62 exits 2 with one error line naming K: the subfile counts are int64."""
+    code, _, err = run_cli(capsys, command, "--N", "5", "--K", str(k), "--zipf", "1", "--M", "1")
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1 and f"C({k}, r)" in err
+
+
 class TestIntegerSettings:
     """Non-integral numbers for integer settings exit 2 instead of truncating."""
 

@@ -16,8 +16,6 @@ from codedcache.delivery import (
     realize,
     sample_demands,
     serve,
-    subset_order,
-    per_user_cache_ok,
 )
 from codedcache.errors import DecodeError, InvalidFileSizeError, InvalidParameterError
 from codedcache.placement import PlacementMatrix, average_rate, rate_coefficients
@@ -25,8 +23,11 @@ from codedcache.popularity import make_custom, make_zipf, order_stats
 from codedcache.solver import algorithm4
 
 from oracles import (
+    all_masks,
+    cached_bits,
     decode_all_masks,
     monte_carlo_rate_subsets,
+    per_user_cache_ok,
     random_popularity,
     random_popularity_first_placement,
     realize_all_masks,
@@ -60,7 +61,7 @@ def half_pair_realization(f_bits=2, seed=3):
 
 class TestSubsetOrder:
     def test_fixed_global_order(self):
-        assert subset_order(3) == [0, 1, 2, 4, 3, 5, 6, 7]
+        assert all_masks(3) == [0, 1, 2, 4, 3, 5, 6, 7]
 
 
 class TestLibrary:
@@ -94,7 +95,7 @@ class TestRealize:
 
     def test_server_only_file_is_uncached(self):
         realization = realize(no_cache_placement(2, 3), random_library(2, 8, seed=2))
-        assert all(realization.cached_bits(u) == 0 for u in (1, 2, 3))
+        assert all(cached_bits(realization, u) == 0 for u in (1, 2, 3))
         assert realization.subfile(0, 0) == int.from_bytes(
             realization.library.contents[0], "little"
         )
@@ -114,7 +115,7 @@ class TestRealize:
         want = {}
         for idx, data in enumerate(realization.library.contents):
             whole, offset = int.from_bytes(data, "little"), 0
-            for mask in subset_order(7):
+            for mask in all_masks(7):
                 size = int(realization.sizes[idx, mask.bit_count()])
                 if size:
                     want[(idx, mask)] = (whole >> offset) & ((1 << size) - 1)

@@ -88,6 +88,12 @@ class TestRateCoefficients:
         assert list(cache_weights(7).astype(int)) == [0, 1, 6, 15, 20, 15, 6, 1]
         assert partition_weights(7)[0] == 1.0
 
+    def test_weight_vectors_are_fresh_arrays(self):
+        for weights in (partition_weights, cache_weights):
+            expected = weights(7).tolist()
+            weights(7)[:] = -1.0
+            assert weights(7).tolist() == expected
+
     def test_cache_weights_match_per_user_usage(self):
         # c^T a_n must equal the explicit per-user cache sum for random rows
         rng = np.random.default_rng(3)

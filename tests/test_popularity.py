@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codedcache.errors import InvalidDistributionError, InvalidParameterError
+from codedcache.errors import BinomialRangeError, InvalidDistributionError, InvalidParameterError
 from codedcache.popularity import (
+    MAX_BINOM_N,
+    binomials,
     from_spec,
     make_custom,
     make_step,
@@ -132,6 +134,22 @@ def test_order_stats_two_users_hand_computed():
 def test_order_stats_rejects_bad_k():
     with pytest.raises(InvalidParameterError):
         order_stats(make_custom([0.7, 0.3]), 0)
+
+
+def test_order_stats_rejects_k_beyond_exact_binomials():
+    with pytest.raises(BinomialRangeError, match="63"):
+        order_stats(make_custom([0.7, 0.3]), MAX_BINOM_N + 1)
+
+
+def test_binomial_table_is_exact_int64_and_read_only():
+    table = binomials(MAX_BINOM_N)
+    assert MAX_BINOM_N == 62 and table.dtype == np.int64
+    assert table.tolist() == [[math.comb(i, r) for r in range(63)] for i in range(63)]
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        binomials(4)[4, 2] = 0
+    with pytest.raises(InvalidParameterError):
+        binomials(-1)
 
 
 def test_order_stats_matches_enumeration():

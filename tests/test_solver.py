@@ -4,7 +4,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from codedcache import solver
-from codedcache.errors import InfeasibleCaseError, InvalidParameterError
+from codedcache.errors import DimensionMismatchError, InfeasibleCaseError, InvalidParameterError
 from codedcache.lp_oracle import certify
 from codedcache.placement import (
     PlacementMatrix,
@@ -202,6 +202,12 @@ class TestAlgorithm4:
             assert candidate.rate == pytest.approx(
                 average_rate(candidate.placement, coeffs), abs=1e-10
             )
+
+    @pytest.mark.parametrize("search", [algorithm1, algorithm4])
+    @pytest.mark.parametrize("n, k", [(8, 5), (9, 7)])
+    def test_rejects_coefficients_of_another_instance(self, search, n, k):
+        with pytest.raises(DimensionMismatchError):
+            search(ZIPF9, 5, 2.5, coeffs=coeffs_for(make_zipf(n, 1.5), k))
 
     def test_rate_non_increasing_in_cache(self):
         model = make_zipf(10, 1.5)
