@@ -7,7 +7,9 @@ exceeds p'), and evaluate K * p' * (N_{p'} + N^m - M) / 11.  The schemes
 differ only in how p' is chosen:
 
   * two_group_prior:   p' = 1 / (K * max{3, M});
-  * exhaustive_prior:  best p' = p_n over the files below that threshold;
+  * exhaustive_prior:  best p' = p_n over the files below that threshold,
+                       by branch and bound: every counted batch has mass
+                       > p', so N^m <= tail mass / p' caps each threshold;
   * proposed:          p' = p_{n_o} with n_o the optimal first-group size.
 
 Negative values are reported as 0 with ``clamped`` set; a clamped bound
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidParameterError
 from .popularity import PopularityModel
@@ -123,18 +127,33 @@ def bound_two_group(model: PopularityModel, k_users: int, cache: float) -> Bound
 
 
 def bound_exhaustive(model: PopularityModel, k_users: int, cache: float) -> BoundReport:
-    """Best threshold among the files less popular than the fixed one."""
+    """Best threshold among the files less popular than the fixed one; ties take the first file.
+
+    A branch and bound: every counted merge batch has mass > p', so
+    N^m <= tail / p' for the tail beyond the N_{p'} popular files, and
+    K p' (N_{p'} + floor(tail / p') + 1 - M) / 11, clamped at 0, bounds the
+    threshold's value from above (the + 1 absorbs the rounding of the float
+    sums).  Thresholds are evaluated exactly in falling order of that
+    bound, and the walk stops once no threshold left can beat the best.
+    """
     p_fixed = _fixed_threshold(k_users, cache)
-    start = popular_count(model, p_fixed) + 1
-    best: BoundReport | None = None
-    for n in range(start, model.n_files + 1):
-        report = _report(
-            BoundScheme.EXHAUSTIVE_PRIOR, model, k_users, cache, float(model.probs[n - 1])
-        )
-        if best is None or report.value > best.value:
-            best = report
-    if best is None:  # no file sits below the fixed threshold
+    probs = model.probs
+    first = popular_count(model, p_fixed)
+    if first == model.n_files:  # no file sits below the fixed threshold
         return BoundReport(BoundScheme.EXHAUSTIVE_PRIOR, p_fixed, model.n_files, 0, 0.0, True)
+    thresholds = probs[first:]
+    n_popular = np.searchsorted(-probs, -thresholds, side="right")  # probs >= p', as sorted
+    tail = np.concatenate((np.cumsum(probs[::-1])[::-1], [0.0]))[n_popular]
+    n_room = n_popular + np.floor(tail / thresholds) + 1  # N_{p'} + most batches + 1
+    upper = np.maximum(k_users * thresholds * (n_room - cache) / 11.0, 0.0)
+    best, best_at = None, 0
+    for i in np.lexsort((np.arange(len(thresholds)), -upper)).tolist():
+        if best is not None and (upper[i] < best.value or (upper[i] == best.value and i > best_at)):
+            break  # bounds fall from here on, and an equal bound loses the tie to an earlier file
+        report = _report(BoundScheme.EXHAUSTIVE_PRIOR, model, k_users, cache,
+                         float(thresholds[i]), int(n_popular[i]))
+        if best is None or (report.value, -i) > (best.value, -best_at):
+            best, best_at = report, i
     return best
 
 

@@ -35,7 +35,7 @@ from .placement import (
     worst_case_subpacketization_bound,
 )
 from .popularity import order_stats
-from .solver import algorithm1, algorithm4, one_group_placement
+from .solver import algorithm4, one_group_placement
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -188,12 +188,11 @@ def cmd_solve(args) -> int:
 def _sweep_row(model, k: int, coeffs, m: float) -> str:
     optimal = algorithm4(model, k, m, coeffs=coeffs)
     baseline = average_rate(one_group_placement(model.n_files, k, m), coeffs)
-    zero_tail = algorithm1(model, k, m, coeffs=coeffs)
     two_group = bound_two_group(model, k, m)
     exhaustive = bound_exhaustive(model, k, m)
     proposed = bound_proposed(model, k, m, optimal.first_group_size)
     cells = (
-        m, optimal.rate, baseline, zero_tail.rate,
+        m, optimal.rate, baseline, optimal.alg1_rate,
         two_group.value, exhaustive.value, proposed.value,
     )
     return ",".join(f"{v:.10g}" for v in cells)

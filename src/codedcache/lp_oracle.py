@@ -280,7 +280,7 @@ def verify_instance(
     report = certify(model, k_users, cache)
     placement = report.candidate.placement
     groups = analyze_groups(placement).group_count
-    nonzeros = int(np.max(np.sum(placement.a > ZERO_TOL, axis=1)))
+    nonzeros = int(np.max(np.sum(placement.level_shares() > ZERO_TOL, axis=1)))
     residual = placement.cache_used() - cache
     bound, _ = worst_case_subpacketization_bound(k_users)
     mc = monte_carlo_rate(placement, model, trials, seed)

@@ -23,7 +23,10 @@ PARTITION_TOL = 1e-9
 CACHE_TOL = 1e-9
 NONNEG_TOL = 1e-12
 POPFIRST_TOL = 1e-9
-#: Threshold below which an a_{n,l} entry counts as zero in structure analysis.
+#: Threshold below which a level share C(K,l) a_{n,l} counts as zero in
+#: structure analysis.  It bounds the share, not the entry: a real subfile
+#: can be smaller than 1e-9, as 1/C(K,l) is from K = 33 on, and a split
+#: entry such as 1e-5 / C(20, 11) is at any K.
 ZERO_TOL = 1e-9
 
 
@@ -65,6 +68,10 @@ class PlacementMatrix:
     def partition_residuals(self) -> np.ndarray:
         """Per-file deviation of sum_l C(K,l) a_{n,l} from 1."""
         return self.a @ partition_weights(self.k_users) - 1.0
+
+    def level_shares(self) -> np.ndarray:
+        """C(K,l) a_{n,l}: the share of file n held in its subfiles of size l."""
+        return self.a * partition_weights(self.k_users)
 
     def cache_used(self) -> float:
         """Cache units consumed per user by this placement."""
@@ -179,8 +186,9 @@ class FileGroupReport:
 
 
 def analyze_groups(placement: PlacementMatrix, tol: float = ZERO_TOL) -> FileGroupReport:
-    """Split files into groups of (elementwise) equal consecutive rows."""
-    split = np.any(np.abs(np.diff(placement.a, axis=0)) > tol, axis=1)  # rows i and i + 1 differ
+    """Split files into groups of consecutive rows with equal level shares."""
+    steps = np.abs(np.diff(placement.level_shares(), axis=0))
+    split = np.any(steps > tol, axis=1)  # rows i and i + 1 differ
     labels = 1 + np.concatenate(([0], np.cumsum(split)))
     boundaries = np.flatnonzero(split) + 1
     return FileGroupReport(int(labels[-1]), tuple(boundaries.tolist()), tuple(labels.tolist()))
@@ -196,9 +204,10 @@ class SubpacketizationReport:
 
 
 def subpacketization(placement: PlacementMatrix, tol: float = ZERO_TOL) -> SubpacketizationReport:
-    """L_n = sum over l with a_{n,l} > tol of C(K, l)."""
+    """L_n = sum over l with C(K,l) a_{n,l} > tol of C(K, l)."""
     k = placement.k_users
-    per_file = tuple(((placement.a > tol).astype(np.int64) @ binomials(k)[k]).tolist())
+    held = (placement.level_shares() > tol).astype(np.int64)
+    per_file = tuple((held @ binomials(k)[k]).tolist())
     return SubpacketizationReport(per_file, max(per_file), sum(per_file) / len(per_file))
 
 

@@ -20,16 +20,18 @@ Each family's entries and feasibility conditions are written once, as
 array expressions over broadcast tuples (n_o, n_eff, l_o, l_1), with
 n_eff = N for two groups and n_1 for three.  A search masks infeasible
 tuples and picks the winner by the set rule of ``TIE_TOL``; only the
-winner is materialized.  ``algorithm1/2/3`` search every tuple of their
-family.  ``algorithm4`` searches all three, but the LP dual
-(``solve_dual``) limits it to O(N K) tuples instead of O(N^2 K^2); it
-solves the dual once and returns it with the winner, as the certificate
-``lp_oracle.certify`` reads.
+winner is materialized, from the entries the search computed.
+``algorithm1/2/3`` search every tuple of their family.  ``algorithm4``
+searches all three, but the LP dual (``solve_dual``, a few vectorized
+simplex pivots) limits it to O(N K) tuples instead of O(N^2 K^2), and
+it evaluates each closed form once, over all of them.  It returns with
+the winner the dual, the certificate ``lp_oracle.certify`` reads, and
+the zero-tail family's winning rate, ``algorithm1``'s, which that same
+pass evaluates: one ``sweep`` grid point is one search.
 """
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 from dataclasses import dataclass, field, replace
@@ -64,6 +66,7 @@ STRICT_TOL = 1e-12
 TIGHT_TOL = 1e-9
 
 _ABSENT = 10**9  # stands in for an absent tuple entry in a key
+_SLICE = 1 << 16  # most tuples a block of the tight search holds
 
 
 class PlacementCase(str, enum.Enum):
@@ -86,7 +89,6 @@ _NOMINAL_GROUPS = {
 #: Keys store a case as its declaration index.
 _CASES = tuple(PlacementCase)
 _INDEX = {case: index for index, case in enumerate(_CASES)}
-_GROUPS = np.array([_NOMINAL_GROUPS[case] for case in _CASES])
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,8 @@ class CandidateSolution:
     l_o: int | None = None
     l_1: int | None = None
     dual: Dual | None = field(default=None, compare=False, repr=False)  # set by algorithm4 only
+    #: ``algorithm1``'s rate, from the same search; set by algorithm4 only
+    alg1_rate: float | None = field(default=None, compare=False, repr=False)
 
     @property
     def groups(self) -> int:
@@ -216,12 +220,15 @@ def _case2ii(k: int, m: float, n_eff, n_o, l_o, l_1):
 
 def _rate(pref: np.ndarray, r: _Rows):
     """sum_{n,l} g_{n,l} a_{n,l} of the rows; pref[i] sums the first i rows of g."""
+    flat, width = pref.ravel(), pref.shape[1]
+    head, eff = r.n_o * width, r.n_eff * width
+    head_s = flat[head + r.s]
     return (
-        pref[r.n_o, r.s] * r.x
-        + pref[r.n_o, r.t] * r.y
-        + (pref[r.n_eff, r.s] - pref[r.n_o, r.s]) * r.z
-        + (pref[r.n_eff, 0] - pref[r.n_o, 0]) * r.w
-        + (pref[-1, 0] - pref[r.n_eff, 0])
+        head_s * r.x
+        + flat[head + r.t] * r.y
+        + (flat[eff + r.s] - head_s) * r.z
+        + (flat[eff] - flat[head]) * r.w
+        + (flat[-width] - flat[eff])
     )
 
 
@@ -294,6 +301,8 @@ class Dual(NamedTuple):
     G_{n,l} = sum_{i<=n} g_{i,l} and S_n = sum_{i=2..n} g_{i,0}.  ``slack``
     holds these lines' slacks (row n-1, column l-1), ``slack_0`` that of
     lambda_1 <= g_{1,0}, and ``value`` is lambda_1 + sum_{n>=2} g_{n,0} + mu M.
+    Each line is a point (n l / K, G_{n,l} / C(K,l) - S_n), and the optimum
+    is the edge of the points' lower convex hull above x = M (``solve_dual``).
     """
 
     lambda_1: float
@@ -303,34 +312,49 @@ class Dual(NamedTuple):
     slack_0: float
 
 
+def _least(primary: np.ndarray, *ties: np.ndarray) -> int:
+    """Index of the least entry of ``primary``, exact ties broken by ``ties`` in order."""
+    hits = np.flatnonzero(primary == primary.min())
+    if len(hits) > 1:
+        hits = hits[np.lexsort([tie[hits] for tie in reversed(ties)])]
+    return int(hits[0])
+
+
 def solve_dual(coeffs: RateCoefficients, cache: float) -> Dual:
     """(lambda_1, mu) maximizing lambda_1 + mu M under the dual's N K + 1 lines.
 
-    With the line lambda_1 <= g_{1,0} of slope 0, the feasible lambda_1
-    is the lower envelope of the lines in mu.  The sweep keeps the lowest
-    intercept per slope, builds the envelope in slope order, and stops at
-    the breakpoint where the envelope's slope passes M: the objective
-    rises with mu along pieces of slope below M and falls after.
+    Line (n, l) is the point (x, c) = (n l / K, G_{n,l} / C(K,l) - S_n),
+    and lambda_1 <= g_{1,0} the point (0, g_{1,0}).  The optimum is the
+    edge of the points' lower convex hull above x = M: mu is its slope,
+    lambda_1 its value at x = 0.  Simplex pivots find the edge, each one
+    vectorized over the points.  From a left end L (x <= M) the right end
+    is the point beyond M of least slope from L; from that right end the
+    next left end is the point up to M of greatest slope to it.  Every
+    pivot lowers the line's value at M or leaves it; the walk stops at the
+    first that does not strictly lower it, so collinear points cannot
+    cycle it.  Ties take the outermost point, so the ends are hull
+    vertices.  M at a vertex takes the edge to its right, and M = N (the
+    largest x) the last edge.
     """
     g = coeffs.g
     rest = np.concatenate(([0.0], np.cumsum(g[1:, 0])))
     n, k = coeffs.n_files, coeffs.k_users
     intercepts = np.cumsum(g[:, 1:], axis=0) / partition_weights(k)[1:] - rest[:, None]
     slopes = np.outer(np.arange(1, n + 1), np.arange(1, k + 1)) / k
-    order = np.lexsort((intercepts.ravel(), slopes.ravel()))
-    by_slope, by_intercept = slopes.ravel()[order], intercepts.ravel()[order]
-    first = np.flatnonzero(np.diff(by_slope, prepend=0.0))  # lowest intercept per slope
-    xs, ys = [0.0], [float(g[0, 0])]  # the envelope's lines as (slope, intercept)
-    for s, c in zip(by_slope[first].tolist(), by_intercept[first].tolist()):
-        # drop the last line while it is nowhere below its neighbours
-        while len(xs) >= 2 and (xs[-1] - xs[-2]) * (c - ys[-2]) <= (ys[-1] - ys[-2]) * (s - xs[-2]):
-            xs.pop()
-            ys.pop()
-        xs.append(s)
-        ys.append(c)
-    i = min(bisect.bisect_right(xs, cache), len(xs) - 1) - 1
-    mu = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])  # where lines i and i + 1 cross
-    lambda_1 = ys[i] - xs[i] * mu
+    xs = np.concatenate(([0.0], slopes.ravel()))
+    cs = np.concatenate(([g[0, 0]], intercepts.ravel()))
+    left = (xs <= cache) & (xs < xs[-1])  # the last point has the largest x, N
+    (lx, lc), (rx, rc) = (xs[left], cs[left]), (xs[~left], cs[~left])
+    i, low = 0, np.inf  # (0, g_{1,0}) is always a left end
+    while True:
+        j = _least((rc - lc[i]) / (rx - lx[i]), -rx, rc)
+        nxt = _least((lc - rc[j]) / (rx[j] - lx), lx, lc)  # greatest slope, as least negated
+        x_l, c_l, x_r, c_r = float(lx[nxt]), float(lc[nxt]), float(rx[j]), float(rc[j])
+        mu = (c_r - c_l) / (x_r - x_l)
+        lambda_1 = c_l - x_l * mu
+        if nxt == i or not lambda_1 + mu * cache < low:
+            break
+        i, low = nxt, lambda_1 + mu * cache
     value = lambda_1 + float(np.sum(g[1:, 0])) + mu * cache
     return Dual(lambda_1, mu, value, intercepts - slopes * mu - lambda_1, float(g[0, 0] - lambda_1))
 
@@ -339,38 +363,120 @@ def solve_dual(coeffs: RateCoefficients, cache: float) -> Dual:
 # Candidate search
 
 
-def _near_minimum(found, pref, ok, rows: _Rows, case, n_1, l_1) -> list[tuple[float, tuple]]:
-    """(rate, key) of a block's feasible candidates within TIE_TOL of its minimum.
+def _priced(pref, k: int, m: float, n_o, n_eff=None, l_o=None, l_1=None):
+    """Rates and rows of a block of one family's tuples; infeasible tuples rate inf.
 
-    A block is one family's broadcast; keys take n_o and l_o (the subset
-    size s of every family) from its rows.  The set rule needs no more: a
-    candidate within TIE_TOL of the overall minimum is within TIE_TOL of
-    its own block's minimum, and a block whose minimum exceeds every rate
-    already ``found`` by more than TIE_TOL holds none.
+    Without n_eff the tuples are zero-tail heads n_o.  With it they are
+    case 2.i, or case 2.ii when l_1 is given.
     """
-    rate = np.where(ok, _rate(pref, rows), np.inf)
-    low = rate.min(initial=np.inf)
-    if low == np.inf or low > min((r for r, _ in found), default=np.inf) + TIE_TOL:
-        return []
-    hits = rate <= low + TIE_TOL
-    columns = np.broadcast_arrays(rate, _GROUPS[case], rows.n_o, n_1, rows.s, l_1, case)
-    return [(value, tuple(key)) for value, *key in zip(*(c[hits].tolist() for c in columns))]
-
-
-def _candidate(n: int, k: int, m: float, rate: float, key: tuple) -> CandidateSolution:
-    """Materialize the winning key from the same closed forms, on scalars."""
-    _, n_o, n_1, l_o, l_1, case = key
-    n_eff = n if n_1 == _ABSENT else n_1
-    if _CASES[case] in (PlacementCase.ONE_GROUP, PlacementCase.TWO_GROUP_ZERO_TAIL):
-        _, rows = _zero_tail(k, m, n_o)
-    elif l_1 == _ABSENT:
-        _, rows = _case2i(k, m, n_eff, n_o, l_o)
+    if n_eff is None:
+        ok, rows = _zero_tail(k, m, n_o)
+    elif l_1 is None:
+        ok, rows = _case2i(k, m, n_eff, n_o, l_o)
     else:
-        _, rows = _case2ii(k, m, n_eff, n_o, l_o, l_1)
+        ok, rows = _case2ii(k, m, n_eff, n_o, l_o, l_1)
+    return np.where(ok, _rate(pref, rows), np.inf), rows
+
+
+def _key(n: int, r: _Rows) -> tuple:
+    """Set-rule key (nominal groups, n_o, n_1, l_o, l_1, case index) of one candidate's rows.
+
+    Zero-tail rows have n_eff = n_o, the others n_o < n_eff; case 2.ii
+    rows hold two subset sizes, case 2.i rows one.
+    """
+    grouped, two_sizes = r.n_o != r.n_eff, r.s != r.t
+    if not grouped:
+        case = PlacementCase.ONE_GROUP if r.n_o == n else PlacementCase.TWO_GROUP_ZERO_TAIL
+    elif r.n_eff == n:
+        case = PlacementCase.TWO_GROUP_CASE2II if two_sizes else PlacementCase.TWO_GROUP_CASE2I
+    else:
+        case = PlacementCase.THREE_GROUP_CASE2 if two_sizes else PlacementCase.THREE_GROUP_CASE1
+    n_1 = r.n_eff if grouped and r.n_eff != n else _ABSENT
+    l_1 = r.t if grouped and two_sizes else _ABSENT
+    return _NOMINAL_GROUPS[case], r.n_o, n_1, r.s, l_1, _INDEX[case]
+
+
+def _entries(column, hits: tuple, shape: tuple) -> list:
+    """The entries at ``hits`` of a block column, which may be a Python scalar or need broadcasting."""
+    if not isinstance(column, np.ndarray):
+        return [column] * len(hits[0])
+    if column.shape != shape:
+        column = np.broadcast_to(column, shape)
+    return column[hits].tolist()
+
+
+def _near_minimum(n: int, found, rate, rows: _Rows) -> list[tuple[float, tuple, _Rows]]:
+    """(rate, key, rows) of a block's feasible candidates within TIE_TOL of its minimum.
+
+    The set rule needs no more: a candidate within TIE_TOL of the overall
+    minimum is within TIE_TOL of its own block's minimum, and a block
+    whose minimum exceeds every rate already ``found`` by more than
+    TIE_TOL holds none.
+    """
+    low = rate.min(initial=np.inf)
+    if low == np.inf or low > min((r for r, *_ in found), default=np.inf) + TIE_TOL:
+        return []
+    hits = np.nonzero(rate <= low + TIE_TOL)
+    rates, *columns = (_entries(c, hits, rate.shape) for c in (rate, *rows))
+    return [(value, _key(n, r), r) for value, r in zip(rates, map(_Rows, *columns))]
+
+
+def _winner(found) -> tuple[float, tuple, _Rows]:
+    """The set rule: the smallest key among candidates within TIE_TOL of the least rate."""
+    low = min(rate for rate, *_ in found)
+    return min((c for c in found if c[0] <= low + TIE_TOL), key=lambda c: c[1])
+
+
+def _candidate(n: int, k: int, rate: float, key: tuple, rows: _Rows) -> CandidateSolution:
+    """Materialize the winner from the entries its closed form gave in the search."""
+    _, n_o, n_1, l_o, l_1, case = key
     return CandidateSolution(
         _matrix(n, k, rows), rate, _CASES[case], n_o,
         None if n_1 == _ABSENT else n_1, l_o, None if l_1 == _ABSENT else l_1,
     )
+
+
+def _ranges(starts, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's i, and the ranges starts[i], starts[i] + 1, .. of counts[i] entries joined."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts - starts)[owner]
+
+
+def _tight_blocks(n: int, k: int, effs: list[int], t_n: np.ndarray, t_l: np.ndarray) -> list[tuple]:
+    """Blocks of the case 2.i and 2.ii tuples that weigh a tight point (t_n, t_l), as flat arrays.
+
+    A tuple weighs two points, (n_eff, l_o) and the n_o point: (n_o, l_o)
+    in case 2.i, (n_o, l_1) in case 2.ii.  A tight point as the n_eff point
+    pairs with every n_o below it (``below`` of them), as the n_o point
+    with every n_eff in ``effs`` above it (``later``, from ``effs[after]``).
+    Blocks hold at most _SLICE tuples, which bounds the closed forms'
+    temporaries when many lines are tight.
+    """
+    is_eff = np.zeros(n + 1, dtype=bool)
+    is_eff[effs] = True
+    effs = np.array(effs, dtype=np.int64)
+    below = (t_n - 1) * is_eff[t_n]
+    after = np.searchsorted(effs, t_n, side="right")
+    later = len(effs) - after
+    eff_of, heads = _ranges(1, below)
+    head_of, at = _ranges(after, later)
+    blocks = [(  # case 2.i
+        np.concatenate((heads, t_n[head_of])),
+        np.concatenate((t_n[eff_of], effs[at])),
+        t_l[np.concatenate((eff_of, head_of))],
+    )]
+    eff_of, point = _ranges(0, below * k)  # point (n_o, l_1) = divmod(point, K) + 1
+    head_of, at = _ranges(after * k, later * k)  # (n_eff, l_o) = (effs[at // K], at % K + 1)
+    n_o, n_eff, l_o, l_1 = (
+        np.concatenate((point // k + 1, t_n[head_of])),
+        np.concatenate((t_n[eff_of], effs[at // k])),
+        np.concatenate((t_l[eff_of], at % k + 1)),
+        np.concatenate((point % k + 1, t_l[head_of])),
+    )
+    two = np.flatnonzero(l_o != l_1)  # case 2.ii needs two sizes
+    blocks.append((n_o[two], n_eff[two], l_o[two], l_1[two]))
+    return [tuple(entry[at : at + _SLICE] for entry in block)
+            for block in blocks for at in range(0, len(block[0]), _SLICE)]
 
 
 def _checked_coefficients(model: PopularityModel, k: int, m: float, coeffs) -> RateCoefficients:
@@ -393,82 +499,65 @@ def _search(
     two_group: bool = False,
     three_group: bool = False,
     tight: tuple[np.ndarray, np.ndarray] | None = None,
-) -> CandidateSolution | None:
-    """Set-rule winner over the requested families, or None when none is feasible.
+) -> tuple[CandidateSolution | None, float | None]:
+    """Set-rule winner over the requested families, and the zero-tail family's winning rate.
 
-    The three-group family runs the two-group closed forms on the first
-    n_1 files, and case 2.ii follows case 2.i in ``PlacementCase``.  The
-    cached groups must jointly hold at least the cache worth of files, so
-    n_1 ranges over max(2, floor(M) + 1)..N-1.  Every tuple is evaluated,
-    one n_eff at a time, unless ``tight`` gives the n and l of the tight
-    dual lines: then only the two- and three-group tuples that weigh one
-    of them are (see ``algorithm4``).  Tuples need n_o < n_eff.
+    The winner is None when no tuple is feasible, the rate None when the
+    zero-tail family is not searched; that family is never empty (n_o = N
+    holds any cache).  The three-group family runs the two-group closed
+    forms on the first n_1 files, and case 2.ii follows case 2.i in
+    ``PlacementCase``.  The cached groups must jointly hold at least the
+    cache worth of files, so n_1 ranges over max(2, floor(M) + 1)..N-1.
+    Every tuple is evaluated, one n_eff at a time, unless ``tight`` gives
+    the n and l of the tight dual lines: then only the two- and
+    three-group tuples that weigh one of them are, in one block per closed
+    form (see ``algorithm4`` and ``_tight_blocks``).  Tuples need
+    n_o < n_eff.
     """
     coeffs = _checked_coefficients(model, k, m, coeffs)
     n = model.n_files
     pref = np.zeros((n + 1, k + 1))
     np.cumsum(coeffs.g, axis=0, out=pref[1:])
-    n_effs = ([n] if two_group else []) + (
-        list(range(max(2, math.floor(m) + 1), n)) if three_group else []
+    effs = (list(range(max(2, math.floor(m) + 1), n)) if three_group else []) + (
+        [n] if two_group else []
     )
-    sizes = np.arange(1, k + 1)
     if tight is None:
-        blocks = [block for n_eff in n_effs for block in (
+        sizes = np.arange(1, k + 1)
+        blocks = [block for n_eff in effs for block in (
             (np.arange(1, n_eff)[:, None], n_eff, sizes),
             (np.arange(1, n_eff)[:, None, None], n_eff, sizes[:, None], sizes),
         )]
     else:
-        t_n, t_l = tight[0][:, None], tight[1][:, None]
-        on_eff = np.isin(tight[0], n_effs)
-        e_n, e_l = t_n[on_eff], t_l[on_eff]
-        heads, effs = np.arange(1, n), np.array(n_effs)
-        blocks = [  # (n_eff, l_o) tight, n_o and l_1 free
-            (heads, e_n, e_l), (heads[:, None], e_n[..., None], e_l[..., None], sizes),
-            # (n_o, l_o) resp. (n_o, l_1) tight, n_eff and l_o free
-            (t_n, effs, t_l), (t_n[..., None], effs[:, None], sizes, t_l[..., None]),
-        ]
-    found = []
+        blocks = _tight_blocks(n, k, effs, *tight)
+    found, zero_rate = [], None
     with np.errstate(divide="ignore", invalid="ignore"):  # rates of masked tuples
         if zero_tail:
-            n_o = np.arange(1, n + 1)
-            ok, rows = _zero_tail(k, m, n_o)
-            case = np.where(
-                n_o == n, _INDEX[PlacementCase.ONE_GROUP], _INDEX[PlacementCase.TWO_GROUP_ZERO_TAIL]
-            )
-            found += _near_minimum(found, pref, ok, rows, case, _ABSENT, _ABSENT)
-        for n_o, n_eff, l_o, *l_1 in blocks:  # case 2.ii blocks carry l_1
-            n_1 = np.where(n_eff == n, _ABSENT, n_eff)
-            case = np.where(n_eff == n, _INDEX[PlacementCase.TWO_GROUP_CASE2I],
-                            _INDEX[PlacementCase.THREE_GROUP_CASE1]) + len(l_1)
-            ok, rows = _case2ii(k, m, n_eff, n_o, l_o, *l_1) if l_1 else _case2i(k, m, n_eff, n_o, l_o)
-            ok &= n_o < n_eff
-            found += _near_minimum(found, pref, ok, rows, case, n_1, rows.t if l_1 else _ABSENT)
-    if not found:
-        return None
-    low = min(rate for rate, _ in found)
-    rate, key = min((c for c in found if c[0] <= low + TIE_TOL), key=lambda c: c[1])
-    return _candidate(n, k, m, rate, key)
+            found = _near_minimum(n, found, *_priced(pref, k, m, np.arange(1, n + 1)))
+            zero_rate = _winner(found)[0]
+        for block in blocks:
+            found += _near_minimum(n, found, *_priced(pref, k, m, *block))
+    return (_candidate(n, k, *_winner(found)) if found else None), zero_rate
 
 
 def algorithm1(
     model: PopularityModel, k_users: int, cache: float, *, coeffs: RateCoefficients | None = None
 ) -> CandidateSolution:
     """Best candidate of the zero-tail family (one group included as n_o = N)."""
-    return _search(model, k_users, cache, coeffs, zero_tail=True)
+    return _search(model, k_users, cache, coeffs, zero_tail=True)[0]
 
 
 def algorithm2(
     model: PopularityModel, k_users: int, cache: float, *, coeffs: RateCoefficients | None = None
 ) -> CandidateSolution | None:
     """Best strict two-group candidate with a partly cached tail, or None."""
-    return _search(model, k_users, cache, coeffs, two_group=True)
+    return _search(model, k_users, cache, coeffs, two_group=True)[0]
 
 
 def algorithm3(
     model: PopularityModel, k_users: int, cache: float, *, coeffs: RateCoefficients | None = None
 ) -> CandidateSolution | None:
     """Best three-group candidate, or None when the n_1 range (see ``_search``) is empty."""
-    return _search(model, k_users, cache, coeffs, three_group=True)
+    return _search(model, k_users, cache, coeffs, three_group=True)[0]
 
 
 def algorithm4(
@@ -493,14 +582,17 @@ def algorithm4(
     candidate in the set rule's window has a line with at most half that
     slack, so all of them were evaluated and the winner is the full
     search's, bit for bit; otherwise the full search runs.  Either way the
-    winner carries the dual as ``dual``.
+    winner carries the dual as ``dual``, and as ``alg1_rate`` the rate of
+    ``algorithm1``'s winner: both searches evaluate the zero-tail family
+    whole, so no second search is needed.
     """
     coeffs = _checked_coefficients(model, k_users, cache, coeffs)
     dual = solve_dual(coeffs, cache)
     tol = TIGHT_TOL * max(1.0, abs(dual.lambda_1) + abs(dual.mu) * cache)
     tight_n, tight_l = np.nonzero(dual.slack <= tol)
     families = {"zero_tail": True, "two_group": True, "three_group": True}
-    best = _search(model, k_users, cache, coeffs, tight=(tight_n + 1, tight_l + 1), **families)
+    tight = (tight_n + 1, tight_l + 1)
+    best, zero_rate = _search(model, k_users, cache, coeffs, tight=tight, **families)
     if 4.0 * (best.rate - dual.value + TIE_TOL) > tol:
-        best = _search(model, k_users, cache, coeffs, **families)
-    return replace(best, dual=dual)
+        best, zero_rate = _search(model, k_users, cache, coeffs, **families)
+    return replace(best, dual=dual, alg1_rate=zero_rate)

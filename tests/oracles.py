@@ -1,10 +1,13 @@
 """Brute-force reference computations kept independent of the library paths."""
 
+import bisect
 import itertools
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
+from codedcache.bounds import BoundReport, BoundScheme, _fixed_threshold, _report
 from codedcache.delivery import (
     DeliveryTranscript,
     MonteCarloResult,
@@ -12,8 +15,9 @@ from codedcache.delivery import (
     sample_demands,
 )
 from codedcache.errors import DecodeError, InvalidParameterError
-from codedcache.placement import PlacementMatrix, average_rate, rate_coefficients
-from codedcache.popularity import order_stats
+from codedcache.placement import PlacementMatrix, average_rate, partition_weights, rate_coefficients
+from codedcache.popularity import make_custom, make_step, make_zipf, order_stats
+from codedcache.solver import Dual
 
 
 def order_stats_exhaustive(probs, k_users: int) -> np.ndarray:
@@ -165,6 +169,34 @@ def decode_all_masks(realization, transcript, user: int) -> bytes:
     return result.to_bytes(nbytes, "little")
 
 
+@st.composite
+def popularity_instances(draw, max_n: int = 30, max_k: int = 10):
+    """(model, K, M) with Zipf, two-level step, uniform or Dirichlet popularity.
+
+    M is 0, N, a breakpoint n l / K of the rate curve, or any value in [0, N].
+    """
+    n, k = draw(st.integers(1, max_n)), draw(st.integers(1, max_k))
+    kind = draw(st.sampled_from(["zipf", "step", "uniform", "dirichlet"]))
+    if kind == "zipf":
+        model = make_zipf(n, draw(st.floats(0.0, 2.5)))
+    elif kind == "uniform" or n == 1:
+        model = make_custom([f"1/{n}"] * n)
+    elif kind == "step":
+        head, weight = draw(st.integers(1, n - 1)), draw(st.integers(2, 6))
+        total = head * weight + n - head
+        model = make_step([(f"{weight}/{total}", head), (f"1/{total}", n - head)])
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        weights = rng.dirichlet(np.full(n, draw(st.sampled_from([0.3, 1.0, 5.0])))) + 1e-9
+        model = make_custom(list(weights / weights.sum()))
+    m = draw(st.one_of(
+        st.just(0.0), st.just(float(n)),
+        st.tuples(st.integers(1, n), st.integers(0, k)).map(lambda t: t[0] * t[1] / k),
+        st.floats(0.0, float(n)),
+    ))
+    return model, k, m
+
+
 def random_popularity(rng, n: int) -> list[float]:
     weights = np.sort(rng.random(n))[::-1] + 0.05
     return list(weights / weights.sum())
@@ -198,11 +230,16 @@ def random_popularity_first_placement(rng, n: int, k: int):
 
 
 def analyze_groups_rows(placement, tol: float):
-    """(group_count, boundaries, group_labels) of ``analyze_groups``, one row pair at a time."""
+    """(group_count, boundaries, group_labels) of ``analyze_groups``, one row pair at a time.
+
+    Rows differ where some level share C(K, l) a_{n,l} differs by more than tol.
+    """
+    counts = [math.comb(placement.k_users, l) for l in range(placement.k_users + 1)]
     labels = [1]
     boundaries = []
     for n in range(1, placement.n_files):
-        if np.any(np.abs(placement.a[n] - placement.a[n - 1]) > tol):
+        rows = zip(counts, placement.a[n], placement.a[n - 1])
+        if any(abs(c * x - c * y) > tol for c, x, y in rows):
             boundaries.append(n)
             labels.append(labels[-1] + 1)
         else:
@@ -211,10 +248,9 @@ def analyze_groups_rows(placement, tol: float):
 
 
 def subpacketization_rows(placement, tol: float) -> tuple[int, ...]:
-    """``subpacketization``'s per-file subfile counts, one row at a time."""
-    k = placement.k_users
-    counts = np.array([math.comb(k, l) for l in range(k + 1)], dtype=np.int64)
-    return tuple(int((counts * (row > tol)).sum()) for row in placement.a)
+    """``subpacketization``'s per-file subfile counts, one row at a time, from level shares."""
+    counts = [math.comb(placement.k_users, l) for l in range(placement.k_users + 1)]
+    return tuple(sum(c for c, x in zip(counts, row) if c * x > tol) for row in placement.a)
 
 
 # ---------------------------------------------------------------------------
@@ -343,3 +379,55 @@ def candidate_search_exhaustive(model, k, m, family=None):
     rate, _, case, tup = min((e for e in priced if e[0] <= low + SEARCH_TIE_TOL),
                              key=lambda e: e[1])
     return case, tup, rate
+
+
+# ---------------------------------------------------------------------------
+# The dual by its whole lower envelope, and the exhaustive bound by every
+# threshold: the loops the library replaced with pivots and branch and bound.
+
+
+def solve_dual_envelope(coeffs, cache: float) -> Dual:
+    """``solve_dual`` by sweeping the lower envelope of all N K + 1 lines in slope order.
+
+    The sweep keeps the lowest intercept per slope, builds the envelope in
+    slope order, and stops at the breakpoint where the envelope's slope
+    passes M: the objective rises with mu along pieces of slope below M
+    and falls after.
+    """
+    g = coeffs.g
+    rest = np.concatenate(([0.0], np.cumsum(g[1:, 0])))
+    n, k = coeffs.n_files, coeffs.k_users
+    intercepts = np.cumsum(g[:, 1:], axis=0) / partition_weights(k)[1:] - rest[:, None]
+    slopes = np.outer(np.arange(1, n + 1), np.arange(1, k + 1)) / k
+    order = np.lexsort((intercepts.ravel(), slopes.ravel()))
+    by_slope, by_intercept = slopes.ravel()[order], intercepts.ravel()[order]
+    first = np.flatnonzero(np.diff(by_slope, prepend=0.0))  # lowest intercept per slope
+    xs, ys = [0.0], [float(g[0, 0])]  # the envelope's lines as (slope, intercept)
+    for s, c in zip(by_slope[first].tolist(), by_intercept[first].tolist()):
+        # drop the last line while it is nowhere below its neighbours
+        while len(xs) >= 2 and (xs[-1] - xs[-2]) * (c - ys[-2]) <= (ys[-1] - ys[-2]) * (s - xs[-2]):
+            xs.pop()
+            ys.pop()
+        xs.append(s)
+        ys.append(c)
+    i = min(bisect.bisect_right(xs, cache), len(xs) - 1) - 1
+    mu = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])  # where lines i and i + 1 cross
+    lambda_1 = ys[i] - xs[i] * mu
+    value = lambda_1 + float(np.sum(g[1:, 0])) + mu * cache
+    return Dual(lambda_1, mu, value, intercepts - slopes * mu - lambda_1, float(g[0, 0] - lambda_1))
+
+
+def bound_exhaustive_thresholds(model, k_users: int, cache: float) -> BoundReport:
+    """``bound_exhaustive`` by evaluating every threshold below the fixed one, first on ties."""
+    p_fixed = _fixed_threshold(k_users, cache)
+    start = int((model.probs >= p_fixed).sum()) + 1
+    best = None
+    for n in range(start, model.n_files + 1):
+        report = _report(
+            BoundScheme.EXHAUSTIVE_PRIOR, model, k_users, cache, float(model.probs[n - 1])
+        )
+        if best is None or report.value > best.value:
+            best = report
+    if best is None:  # no file sits below the fixed threshold
+        return BoundReport(BoundScheme.EXHAUSTIVE_PRIOR, p_fixed, model.n_files, 0, 0.0, True)
+    return best

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, seed, settings
 
 from codedcache.bounds import (
     BoundScheme,
@@ -12,10 +13,11 @@ from codedcache.bounds import (
     popular_count,
 )
 from codedcache.errors import InvalidParameterError
-from codedcache.popularity import make_custom, make_zipf
+from codedcache.popularity import make_custom, make_step, make_zipf
 from codedcache.solver import algorithm4
 
 from golden import GOLDEN_BOUNDS
+from oracles import bound_exhaustive_thresholds, popularity_instances
 
 
 class TestMergeCount:
@@ -167,3 +169,25 @@ def test_report_serialization():
     assert payload["n_popular"] == 4
     row = report.csv_row(5, 6, 1.0)
     assert row.startswith("two_group_prior,5,6,1,")
+
+
+@seed(1111)
+@settings(max_examples=300, deadline=None, database=None)
+@given(popularity_instances(max_n=60, max_k=20))
+def test_exhaustive_matches_every_threshold(instance):
+    """The branch and bound returns the report the walk over every threshold returns."""
+    model, k, m = instance
+    assert bound_exhaustive(model, k, m) == bound_exhaustive_thresholds(model, k, m)
+
+
+@pytest.mark.parametrize("model, k, m", [
+    # every threshold clamps to 0, so the first one below the fixed threshold wins
+    (make_zipf(9, 1.5), 3, 9.0), (make_zipf(9, 1.0), 13, 9.0), (make_zipf(11, 2.0), 7, 11.0),
+    (make_zipf(13, 2.5), 13, 13.0),
+    # equal popularities: batches of 1/12 that sum to a threshold of 1/4 or 1/6
+    (make_step([("1/4", 2), ("1/12", 6)]), 4, 1.0), (make_step([("1/6", 3), ("1/18", 9)]), 5, 0.5),
+    (make_step([("5/9", 1), ("1/30", 10), ("1/90", 10)]), 12, 2.0),
+    (make_zipf(1000, 1.0), 30, 3.7),
+])
+def test_exhaustive_ties(model, k, m):
+    assert bound_exhaustive(model, k, m) == bound_exhaustive_thresholds(model, k, m)

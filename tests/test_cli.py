@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import subprocess
 import sys
@@ -6,7 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from codedcache.cli import build_parser, main
+from codedcache import solver
+from codedcache.cli import _sweep_row, build_parser, main
+from codedcache.placement import rate_coefficients
+from codedcache.popularity import make_step, make_zipf, order_stats
 
 from golden import GOLDEN_PLACEMENTS
 
@@ -195,6 +199,21 @@ class TestSweep:
             m, optimal, one_group, alg1, *_ = map(float, line.split(","))
             assert optimal <= alg1 + 1e-9
 
+    @pytest.mark.parametrize("model, k, m", [
+        (make_zipf(9, 1.5), 7, 2.5), (make_zipf(9, 1.5), 7, 7.0),
+        (make_step([("5/9", 1), ("1/30", 10), ("1/90", 10)]), 12, 3.5),
+    ])
+    def test_grid_point_is_one_search(self, monkeypatch, model, k, m):
+        # alg1_rate comes from algorithm4's search; algorithm1 would search again
+        searches = []
+        search = solver._search
+        monkeypatch.setattr(
+            solver, "_search", lambda *args, **kw: (searches.append(kw), search(*args, **kw))[1]
+        )
+        row = _sweep_row(model, k, rate_coefficients(model, order_stats(model, k)), m)
+        assert len(searches) == 1 and searches[0]["tight"] is not None
+        assert row.split(",")[3] == f"{solver.algorithm1(model, k, m).rate:.10g}"
+
     def test_single_point_full_cache(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "--N", "4", "--K", "3", "--zipf", "1.0", "--M", "4"
@@ -229,6 +248,18 @@ class TestSubpkt:
             assert int(l_max) <= int(bound) == 462
             assert float(l_avg) <= int(l_max)
         assert lines[-1].split(",")[1] == "1"  # M = N: single subfile
+
+    @pytest.mark.parametrize("n, k, zipf, m, l_max", [
+        ("5", "34", "0", "2.5", math.comb(34, 17)),  # one subset size, 17
+        ("5", "62", "1", "1", math.comb(62, 12) + math.comb(62, 13)),  # two adjacent sizes
+        ("2", "33", "0", "1", math.comb(33, 16) + math.comb(33, 17)),  # halves of 1 / C(33, 16)
+        ("10", "20", "0", "5.00001", math.comb(20, 10) + math.comb(20, 11)),  # 2e-5 at l = 11
+    ])
+    def test_counts_subfiles_smaller_than_zero_tol(self, capsys, n, k, zipf, m, l_max):
+        # a subfile can be smaller than ZERO_TOL = 1e-9; the share of the file it holds is not
+        code, out, _ = run_cli(capsys, "subpkt", "--N", n, "--K", k, "--zipf", zipf, "--M", m)
+        assert code == 0
+        assert out.splitlines()[1].split(",")[1] == str(l_max)
 
 
 class TestVerify:

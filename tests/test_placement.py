@@ -24,6 +24,7 @@ from codedcache.placement import (
     worst_case_subpacketization_bound,
 )
 from codedcache.popularity import make_custom, make_zipf, order_stats
+from codedcache.solver import algorithm4
 
 from golden import GOLDEN_PLACEMENTS
 from oracles import (
@@ -183,6 +184,28 @@ def test_structure_matches_row_loops(data):
     report = analyze_groups(placement, tol)
     assert (report.group_count, report.boundaries, report.group_labels) == analyze_groups_rows(placement, tol)
     assert subpacketization(placement, tol).per_file == subpacketization_rows(placement, tol)
+
+
+class TestSmallSubfiles:
+    """A real subfile can be smaller than ZERO_TOL; structure reads level shares C(K, l) a_{n,l}."""
+
+    @pytest.mark.parametrize("n, k, theta, m", [
+        (5, 34, 0.0, 2.5), (5, 62, 1.0, 1.0), (5, 40, 1.0, 2.0),
+        (2, 33, 0.0, 1.0), (10, 20, 0.0, 5.00001),
+    ])
+    def test_subpacketization_counts_the_closed_forms_levels(self, n, k, theta, m):
+        placement = algorithm4(make_zipf(n, theta), k, m).placement
+        levels = np.flatnonzero(placement.a[0]).tolist()
+        assert levels and min(placement.a[0, levels]) < ZERO_TOL
+        assert subpacketization(placement).max_level == sum(math.comb(k, l) for l in levels)
+
+    def test_groups_differ_in_small_subfiles(self):
+        k = 34
+        a = np.zeros((2, k + 1))
+        a[:, 17] = [0.6 / math.comb(k, 17), 0.4 / math.comb(k, 17)]
+        a[:, 18] = [0.4 / math.comb(k, 18), 0.6 / math.comb(k, 18)]
+        assert np.max(np.abs(np.diff(a, axis=0))) < ZERO_TOL
+        assert analyze_groups(PlacementMatrix(2, k, a)).group_count == 2
 
 
 class TestSubpacketization:

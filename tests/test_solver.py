@@ -32,7 +32,12 @@ from codedcache.solver import (
 )
 
 from golden import GOLDEN_CASES, GOLDEN_PLACEMENTS
-from oracles import candidate_search_exhaustive, random_popularity
+from oracles import (
+    candidate_search_exhaustive,
+    popularity_instances,
+    random_popularity,
+    solve_dual_envelope,
+)
 
 ZIPF9 = make_zipf(9, 1.5)
 
@@ -380,7 +385,7 @@ def test_candidate_json_shape():
 
 def full_search(model, k, m, coeffs):
     """Every tuple of all three families: the mid-size oracle of ``algorithm4``."""
-    return _search(model, k, m, coeffs, zero_tail=True, two_group=True, three_group=True)
+    return _search(model, k, m, coeffs, zero_tail=True, two_group=True, three_group=True)[0]
 
 
 def assert_same_solution(got, want):
@@ -407,8 +412,8 @@ def test_each_dual_point_of_the_winner_finds_it(m):
     best = algorithm4(ZIPF9, 7, m, coeffs=coeffs)
     points = [(best.n_o, best.l_1 or best.l_o), (best.n_1 or 9, best.l_o)]
     for n, l in points:
-        got = _search(ZIPF9, 7, m, coeffs, zero_tail=True, two_group=True, three_group=True,
-                      tight=(np.array([n]), np.array([l])))
+        got, _ = _search(ZIPF9, 7, m, coeffs, zero_tail=True, two_group=True, three_group=True,
+                         tight=(np.array([n]), np.array([l])))
         assert_same_solution(got, best)
 
 
@@ -447,6 +452,9 @@ def test_algorithm4_matches_full_search_seeded(monkeypatch):
         model, k, m = seeded_instance(rng)
         coeffs = coeffs_for(model, k)
         assert_same_solution(algorithm4(model, k, m, coeffs=coeffs), full_search(model, k, m, coeffs))
+    # too large for the full search, which takes about 25 s at (1000, 30)
+    for n, k, m in ((1000, 30, 3.7), (2000, 40, 10.0)):
+        algorithm4(make_zipf(n, 1.0), k, m)
     assert fallbacks == []
 
 
@@ -454,14 +462,45 @@ def test_only_algorithm4_carries_the_dual(monkeypatch):
     model, k, m = ZIPF9, 7, 2.5
     coeffs = coeffs_for(model, k)
     for algo in (algorithm1, algorithm2, algorithm3):
-        assert algo(model, k, m, coeffs=coeffs).dual is None
+        candidate = algo(model, k, m, coeffs=coeffs)
+        assert candidate.dual is None and candidate.alg1_rate is None
     best = algorithm4(model, k, m, coeffs=coeffs)
     assert best.dual.value == solve_dual(coeffs, m).value
+    assert best.alg1_rate == algorithm1(model, k, m, coeffs=coeffs).rate
+    assert best.alg1_rate > best.rate  # a three-group optimum here
     # no line is tight below a negative tolerance, so the full search runs
     monkeypatch.setattr(solver, "TIGHT_TOL", -1.0)
     fallback = algorithm4(model, k, m, coeffs=coeffs)
     assert_same_solution(fallback, best)
     assert fallback.dual.value == best.dual.value
+    assert fallback.alg1_rate == best.alg1_rate
+
+
+@seed(4242)
+@settings(max_examples=150, deadline=None, database=None)
+@given(search_instances(max_n=12, max_k=7, exact_splits=True))
+def test_alg1_rate_is_algorithm1s_rate(instance):
+    """Bit for bit, from the tight search and from the full search it falls back to."""
+    model, k, m = instance
+    coeffs = coeffs_for(model, k)
+    want = algorithm1(model, k, m, coeffs=coeffs).rate.hex()
+    assert algorithm4(model, k, m, coeffs=coeffs).alg1_rate.hex() == want
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "TIGHT_TOL", -1.0)
+        assert algorithm4(model, k, m, coeffs=coeffs).alg1_rate.hex() == want
+
+
+def test_tight_search_calls_each_closed_form_once(monkeypatch):
+    """The winner is materialized from the search's own entries, not by a second call."""
+    calls = []
+    for name in ("_zero_tail", "_case2i", "_case2ii"):
+        form = getattr(solver, name)
+        monkeypatch.setattr(solver, name, lambda *args, _name=name, _form=form: (
+            calls.append(_name), _form(*args))[1])
+    for model, k, m in ((ZIPF9, 7, 2.5), (ZIPF9, 7, 6.0), (make_zipf(1000, 1.0), 30, 3.7)):
+        calls.clear()
+        best = algorithm4(model, k, m)
+        assert sorted(calls) == ["_case2i", "_case2ii", "_zero_tail"], best.case_id
 
 
 class TestDualLemma:
@@ -515,3 +554,41 @@ class TestDualLemma:
                 near += 1
                 assert slack[np.argmax(weights)] <= tight
         assert near >= 1
+
+
+class TestPivotDual:
+    """``solve_dual``'s pivots against the envelope sweep they replaced."""
+
+    @staticmethod
+    def assert_same_optimum(coeffs, m):
+        got, want = solve_dual(coeffs, m), solve_dual_envelope(coeffs, m)
+        scale = max(1.0, abs(want.lambda_1) + abs(want.mu) * m)
+        assert abs(got.value - want.value) <= 1e-13 * scale
+        assert min(got.slack_0, got.slack.min()) >= -1e-13 * scale
+
+    @seed(1313)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(popularity_instances())
+    def test_matches_envelope(self, instance):
+        """An equal value, a feasible (lambda_1, mu) and the same algorithm4 winner, bit for bit."""
+        model, k, m = instance
+        coeffs = coeffs_for(model, k)
+        self.assert_same_optimum(coeffs, m)
+        best = algorithm4(model, k, m, coeffs=coeffs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "solve_dual", solve_dual_envelope)
+            assert_same_solution(best, algorithm4(model, k, m, coeffs=coeffs))
+
+    @pytest.mark.parametrize("m", [0.0, 3.5, 7.18, 7.1875, 12.0, 23.99, 24.0])
+    def test_collinear_points_end_the_walk(self, m):
+        # at K = 1 the points are (n, -S_n): with uniform popularity they lie
+        # on one line up to rounding, where pivots without a strict-decrease
+        # stop can cycle between collinear ends
+        self.assert_same_optimum(coeffs_for(make_custom(["1/24"] * 24), 1), m)
+
+    @pytest.mark.parametrize("m", [0.0, 1.0, 2.0, 2.5, 9.0])
+    def test_cache_at_a_vertex_and_beyond_the_last(self, m):
+        # M = 0, every integer M and M = N sit on hull vertices; M = N has no point beyond it
+        coeffs = coeffs_for(ZIPF9, 7)
+        got, want = solve_dual(coeffs, m), solve_dual_envelope(coeffs, m)
+        assert (got.lambda_1, got.mu, got.value) == (want.lambda_1, want.mu, want.value)
