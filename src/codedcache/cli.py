@@ -6,6 +6,10 @@ Subcommands:
   subpkt   subpacketization of the optimal placement over a grid (CSV)
   verify   LP-dual certification + Monte Carlo + bit-exact decode checks
 
+A setting is a flag or the config key of the flag's name (the flag wins);
+``_setting`` reads both through one converter.  Numbers may be ``p/q``
+fractions in either; a malformed one is a configuration error.
+
 Exit codes: 0 success, 2 configuration error, 4 verification failure.
 K ranges over 1..62: the subfile counts C(K, l) are int64.  The LP dual
 has two free variables, so certification has no size limit, but
@@ -18,7 +22,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -47,49 +50,42 @@ SWEEP_HEADER = (
 SUBPKT_HEADER = "M,L_max,L_avg,worst_case_bound"
 
 
-def _fraction(text: str) -> float:
-    return float(Fraction(text))
-
-
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text) -> list[float]:
     """Inclusive lo:hi:step grid."""
-    try:
-        lo, hi, step = (float(Fraction(part)) for part in text.split(":"))
-    except ValueError as exc:
-        raise InvalidParameterError(f"bad grid {text!r}, expected lo:hi:step") from exc
+    parts = text.split(":") if isinstance(text, str) else []
+    if len(parts) != 3:
+        raise ValueError("expected lo:hi:step")
+    lo, hi, step = map(popularity.as_float, parts)
     if step <= 0 or hi < lo:
-        raise InvalidParameterError(f"bad grid {text!r}: need step > 0 and hi >= lo")
+        raise ValueError("need step > 0 and hi >= lo")
     count = int(round((hi - lo) / step))
     grid = [lo + i * step for i in range(count + 1)]
     return [m for m in grid if m <= hi + 1e-9]
 
 
-def _parse_step_levels(text: str) -> list[tuple[str, int]]:
-    """Step popularity such as '5/9x1,1/30x10,1/90x10'."""
-    levels = []
-    for chunk in text.split(","):
-        prob, _, count = chunk.partition("x")
-        try:
-            levels.append((prob.strip(), int(count)))
-        except ValueError as exc:
-            raise InvalidParameterError(f"bad step level {chunk!r}, expected PROBxCOUNT") from exc
-    return levels
+def _path(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError("expected a path string")
+    return value
+
+
+def _format(value) -> str:
+    if value not in ("json", "csv"):
+        raise ValueError("expected json or csv")
+    return value
 
 
 def _popularity_spec(args, config: dict) -> dict:
     """Resolve the popularity source from flags, falling back to the config."""
-    sources = [args.zipf is not None, args.probs is not None, args.step is not None]
-    if sum(sources) > 1:
+    if sum(flag is not None for flag in (args.zipf, args.probs, args.step)) > 1:
         raise InvalidParameterError("give only one of --zipf / --probs / --step")
     if args.zipf is not None:
         return {"type": "zipf", "theta": args.zipf}
     if args.probs is not None:
-        return {"type": "custom", "probs": [p.strip() for p in args.probs.split(",")]}
-    if args.step is not None:
-        return {
-            "type": "step",
-            "levels": [{"p": p, "count": c} for p, c in _parse_step_levels(args.step)],
-        }
+        return {"type": "custom", "probs": args.probs.split(",")}
+    if args.step is not None:  # such as 5/9x1,1/30x10,1/90x10
+        levels = (chunk.partition("x") for chunk in args.step.split(","))
+        return {"type": "step", "levels": [{"p": p, "count": c} for p, _, c in levels]}
     if "popularity" in config:
         return config["popularity"]
     raise InvalidParameterError("no popularity given (use --zipf, --probs, --step, or a config)")
@@ -104,30 +100,28 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _merged(args, config: dict, name: str, default=None):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return config.get(name, default)
-
-
 def _setting(args, config: dict, name: str, convert=popularity.as_int, default=None, *,
-             required=False):
-    """A flag or config value passed through ``convert``; bad or missing -> config error."""
-    value = _merged(args, config, name, default)
+             required=False, minimum=None):
+    """The flag's string, else the config's JSON value, else ``default``, through ``convert``;
+    a ValueError from it, a value below ``minimum`` or a missing required one -> config error."""
+    value = getattr(args, name, None)
+    if value is None:
+        value = config.get(name, default)
     if value is None:
         if required:
             raise InvalidParameterError(f"missing required setting {name}")
         return None
     try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
+        result = convert(value)
+        if minimum is not None and result < minimum:
+            raise ValueError(f"must be >= {minimum}")
+    except ValueError as exc:
         raise InvalidParameterError(f"setting {name}={value!r} is invalid: {exc}") from exc
+    return result
 
 
 def _build_model(args, config: dict) -> popularity.PopularityModel:
-    spec = _popularity_spec(args, config)
-    return popularity.from_spec(spec, _setting(args, config, "N"))
+    return popularity.from_spec(_popularity_spec(args, config), _setting(args, config, "N"))
 
 
 def _out_paths(out: str | None) -> tuple[Path | None, Path | None]:
@@ -153,16 +147,14 @@ def cmd_solve(args) -> int:
     config = _load_config(args.config)
     model = _build_model(args, config)
     k = _setting(args, config, "K", required=True)
-    m = _setting(args, config, "M", float)
-    if m is None:
-        raise InvalidParameterError("solve needs --M")
+    m = _setting(args, config, "M", popularity.as_float, required=True)
     candidate = algorithm4(model, k, m)
     candidate.placement.check_valid(m)
 
     json_text = _solution_json(candidate, model)
     csv_text = candidate.placement.to_csv()
-    json_path, csv_path = _out_paths(_merged(args, config, "out"))
-    fmt = _merged(args, config, "format", "json")
+    json_path, csv_path = _out_paths(_setting(args, config, "out", _path))
+    fmt = _setting(args, config, "format", _format, "json")
     if json_path or csv_path:
         if json_path:
             json_path.write_text(json_text)
@@ -199,10 +191,10 @@ def _sweep_row(model, k: int, coeffs, m: float) -> str:
 
 
 def _grid_from(args, config) -> list[float]:
-    grid_text = _merged(args, config, "M_grid")
-    if grid_text is not None:
-        return _parse_grid(grid_text)
-    m = _setting(args, config, "M", float)
+    grid = _setting(args, config, "M_grid", _parse_grid)
+    if grid is not None:
+        return grid
+    m = _setting(args, config, "M", popularity.as_float)
     if m is None:
         raise InvalidParameterError("need --M or --M-grid")
     return [m]
@@ -222,7 +214,7 @@ def cmd_sweep(args) -> int:
     k = _setting(args, config, "K", required=True)
     grid = _grid_from(args, config)
     row = functools.partial(_sweep_row, model, k, rate_coefficients(model, order_stats(model, k)))
-    jobs = _setting(args, config, "jobs", default=1)
+    jobs = _setting(args, config, "jobs", default=1, minimum=1)
     if jobs > 1:
         # imported here, not at module load, where it would slow every start
         from concurrent.futures import ProcessPoolExecutor
@@ -231,7 +223,7 @@ def cmd_sweep(args) -> int:
             rows = list(pool.map(row, grid))
     else:
         rows = [row(m) for m in grid]
-    _emit_csv(SWEEP_HEADER, rows, _merged(args, config, "out"))
+    _emit_csv(SWEEP_HEADER, rows, _setting(args, config, "out", _path))
     return EXIT_OK
 
 
@@ -246,16 +238,16 @@ def cmd_subpkt(args) -> int:
         candidate = algorithm4(model, k, m, coeffs=coeffs)
         report = subpacketization(candidate.placement)
         rows.append(f"{m:.10g},{report.max_level},{report.avg_level:.10g},{bound}")
-    _emit_csv(SUBPKT_HEADER, rows, _merged(args, config, "out"))
+    _emit_csv(SUBPKT_HEADER, rows, _setting(args, config, "out", _path))
     return EXIT_OK
 
 
-def _check_placement_file(args, config) -> int:
-    data = json.loads(Path(args.placement).read_text())
+def _check_placement_file(path: str, args, config) -> int:
+    data = json.loads(Path(path).read_text())
     if isinstance(data, dict) and isinstance(data.get("placement"), dict):
         data = data["placement"]  # a solution file written by ``solve --out``
     matrix = PlacementMatrix.from_json_dict(data)
-    problems = matrix.violations(_setting(args, config, "M", float))
+    problems = matrix.violations(_setting(args, config, "M", popularity.as_float))
     if problems:
         for problem in problems:
             print(f"FAIL placement_invariants {problem}")
@@ -266,18 +258,19 @@ def _check_placement_file(args, config) -> int:
 
 def cmd_verify(args) -> int:
     config = _load_config(args.config)
-    if args.placement is not None:
-        return _check_placement_file(args, config)
+    placement = _setting(args, config, "placement", _path)
+    if placement is not None:
+        return _check_placement_file(placement, args, config)
 
-    seed = _setting(args, config, "seed", default=20240)
+    seed = _setting(args, config, "seed", default=20240, minimum=0)  # also seeds --batch
     trials = _setting(args, config, "trials", default=20000)
     demands = _setting(args, config, "demands", default=20)
-    batch = _setting(args, config, "batch")
+    batch = _setting(args, config, "batch", minimum=1)
     instances = []
     if batch is None:
         model = _build_model(args, config)
         k = _setting(args, config, "K", required=True)
-        m = _setting(args, config, "M", float)
+        m = _setting(args, config, "M", popularity.as_float)
         if m is None:
             raise InvalidParameterError("verify needs --M (or --batch / --placement)")
         instances.append((model, k, m))
@@ -307,10 +300,10 @@ def cmd_verify(args) -> int:
 
 def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
     """Flags every subcommand reads: the instance, its popularity and a config."""
-    parser.add_argument("--N", type=int, help="number of files")
-    parser.add_argument("--K", type=int, help="number of users")
-    parser.add_argument("--M", type=_fraction, help="cache size per user (real, may be a fraction)")
-    parser.add_argument("--zipf", type=float, help="Zipf exponent theta")
+    parser.add_argument("--N", help="number of files")
+    parser.add_argument("--K", help="number of users")
+    parser.add_argument("--M", help="cache size per user (real, may be a fraction)")
+    parser.add_argument("--zipf", help="Zipf exponent theta")
     parser.add_argument("--probs", help="comma-separated popularity values (fractions allowed)")
     parser.add_argument("--step", help="step popularity PROBxCOUNT[,PROBxCOUNT...]")
     parser.add_argument("--config", help="JSON config file (same keys as the flags)")
@@ -318,7 +311,10 @@ def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing keeps no state in it."""
+    """The command-line parser, built once per process: parsing keeps no state in it.
+
+    It passes no ``type=`` or ``choices=``, so every value reaches ``_setting`` as a string.
+    """
     parser = argparse.ArgumentParser(
         prog="codedcache",
         description="Optimal cache placement for coded caching under nonuniform popularity",
@@ -328,14 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="optimal placement for one instance")
     _add_instance_flags(p_solve)
     p_solve.add_argument("--out", help="output path (stem or .json/.csv)")
-    p_solve.add_argument("--format", choices=("json", "csv"), help="stdout format")
+    p_solve.add_argument("--format", metavar="{json,csv}", help="stdout format (default json)")
     p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="rate and bound curves over a cache grid")
     _add_instance_flags(p_sweep)
     p_sweep.add_argument("--M-grid", help="cache grid lo:hi:step")
     p_sweep.add_argument("--out", help="output CSV path")
-    p_sweep.add_argument("--jobs", type=int, help="parallel worker processes (default 1)")
+    p_sweep.add_argument("--jobs", help="parallel worker processes (default 1)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_subpkt = sub.add_parser("subpkt", help="subpacketization over a cache grid")
@@ -346,10 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="certification and simulation checks")
     _add_instance_flags(p_verify)
-    p_verify.add_argument("--seed", type=int, help="base RNG seed (default 20240)")
-    p_verify.add_argument("--trials", type=int, help="Monte Carlo trials (default 20000)")
-    p_verify.add_argument("--batch", type=int, help="number of seeded random instances")
-    p_verify.add_argument("--demands", type=int, help="decode-test demands per instance (default 20)")
+    p_verify.add_argument("--seed", help="base RNG seed (default 20240)")
+    p_verify.add_argument("--trials", help="Monte Carlo trials (default 20000)")
+    p_verify.add_argument("--batch", help="number of seeded random instances")
+    p_verify.add_argument("--demands", help="decode-test demands per instance (default 20)")
     p_verify.add_argument("--placement", help="check a placement JSON file against the invariants")
     p_verify.set_defaults(func=cmd_verify)
     return parser

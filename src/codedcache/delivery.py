@@ -70,9 +70,16 @@ class FileLibrary:
         return len(self.contents)
 
 
+def _philox(seed: int) -> np.random.Generator:
+    """The counter-based generator keyed by ``seed``, an integer in [0, 2^128)."""
+    if not 0 <= seed < 1 << 128:
+        raise InvalidParameterError(f"seed must be in [0, 2^128), got {seed}")
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
 def random_library(n_files: int, file_size_bits: int, seed: int) -> FileLibrary:
     """Reproducible random file contents."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = _philox(seed)
     nbytes = (file_size_bits + 7) // 8
     files = []
     for _ in range(n_files):
@@ -87,18 +94,16 @@ def random_library(n_files: int, file_size_bits: int, seed: int) -> FileLibrary:
 def minimal_file_size(placement: PlacementMatrix) -> int:
     """Smallest file size (bits) making every subfile size integral.
 
-    Solver outputs are rationals in floating point; each nonzero entry is
-    recovered as an exact fraction and the LCM of denominators is taken.
+    Solver outputs are rationals in floating point; each entry whose level
+    share C(K,l) a_{n,l} exceeds ``ZERO_TOL`` is recovered as an exact
+    fraction and the LCM of denominators is taken.
     """
     denominator = 1
-    for value in placement.a.flat:
-        if value > ZERO_TOL:
-            frac = Fraction(value).limit_denominator(10**9)
-            if abs(float(frac) - value) > 1e-12:
-                raise InvalidFileSizeError(
-                    f"placement entry {value!r} is not recognizably rational"
-                )
-            denominator = math.lcm(denominator, frac.denominator)
+    for value in placement.a[placement.level_shares() > ZERO_TOL].tolist():
+        frac = Fraction(value).limit_denominator(10**9)
+        if abs(float(frac) - value) > 1e-12:
+            raise InvalidFileSizeError(f"placement entry {value!r} is not recognizably rational")
+        denominator = math.lcm(denominator, frac.denominator)
     return denominator
 
 
@@ -131,18 +136,10 @@ def realize(placement: PlacementMatrix, library: FileLibrary) -> PlacementRealiz
     f_bits = library.file_size_bits
     scaled = placement.a * f_bits
     sizes = np.rint(scaled).astype(np.int64)
-    if np.max(np.abs(scaled - sizes)) > 1e-6:
-        raise InvalidFileSizeError(
-            f"subfile sizes are not integral at F={f_bits}; "
-            f"use a multiple of {minimal_file_size(placement)} bits",
-            minimal_size=minimal_file_size(placement),
-        )
-    if np.any(sizes @ binomials(k)[k] != f_bits):
-        raise InvalidFileSizeError(
-            f"rounded subfile sizes do not add up to F={f_bits}; "
-            f"use a multiple of {minimal_file_size(placement)} bits",
-            minimal_size=minimal_file_size(placement),
-        )
+    if np.max(np.abs(scaled - sizes)) > 1e-6 or np.any(sizes @ binomials(k)[k] != f_bits):
+        minimal = minimal_file_size(placement)
+        raise InvalidFileSizeError(f"subfile sizes are not integral or do not add up at "
+                                   f"F={f_bits}; use a multiple of {minimal} bits", minimal)
 
     table = _subsets(k)
     subfiles: dict[tuple[int, int], int] = {}
@@ -261,9 +258,11 @@ def sample_demands(model: PopularityModel, k_users: int, count: int, seed: int) 
     Row t consumes the Philox stream keyed by ``seed`` at counter offsets
     t*K .. t*K + K - 1, so trials are independently recomputable.
     """
+    if count < 0:
+        raise InvalidParameterError(f"demand count must be >= 0, got {count}")
     cum = np.cumsum(model.probs)
     cum[-1] = 1.0
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = _philox(seed)
     uniforms = rng.random((count, k_users))
     return np.searchsorted(cum, uniforms, side="right").astype(np.int64) + 1
 

@@ -100,10 +100,7 @@ def make_zipf(n_files: int, theta: float) -> PopularityModel:
     """Zipf popularity: p_n proportional to n^-theta, theta >= 0."""
     if n_files < 1:
         raise InvalidParameterError("n_files must be >= 1")
-    try:
-        theta = float(theta)
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"theta must be a finite nonnegative real, got {theta!r}") from exc
+    theta = as_float(theta, "theta")
     if not math.isfinite(theta) or theta < 0.0:
         raise InvalidParameterError(f"theta must be a finite nonnegative real, got {theta!r}")
     ranks = np.arange(1, n_files + 1, dtype=float)
@@ -113,18 +110,26 @@ def make_zipf(n_files: int, theta: float) -> PopularityModel:
 
 
 def as_int(value) -> int:
-    """``int(value)``, except that a bool or a non-integral float such as 2.9 is a ValueError."""
+    """``int(value)``; a bool, a non-integral float such as 2.9, or anything
+    ``int`` refuses is an InvalidParameterError (a ValueError)."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
-
-
-def _as_float(value) -> float:
-    """Accept numbers or fraction strings such as '5/9'."""
+        raise InvalidParameterError(f"{value!r} is not an integer")
     try:
-        return float(Fraction(value)) if isinstance(value, str) else float(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InvalidDistributionError(f"probability {value!r} is not a number") from exc
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"{value!r} is not an integer") from exc
+
+
+def as_float(value, name: str = "value") -> float:
+    """A real from an int, a float, or a ``p/q`` or decimal string, which reads as
+    ``float(text)`` rounds.  A bool, 1/0, a value beyond the float range or
+    anything else that does not convert is an InvalidParameterError (a ValueError)."""
+    if not isinstance(value, bool):
+        try:
+            return float(Fraction(value)) if isinstance(value, str) else float(value)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise InvalidParameterError(f"{name} {value!r} is not a number")
 
 
 def make_custom(probs: Sequence) -> PopularityModel:
@@ -135,7 +140,7 @@ def make_custom(probs: Sequence) -> PopularityModel:
     sorting permutation is retained.  The sum must be within ``SUM_TOL``
     of 1 and is rescaled exactly to 1.
     """
-    values = [_as_float(p) for p in probs]
+    values = [as_float(p, "probability") for p in probs]
     if not values:
         raise InvalidDistributionError("empty probability list")
     if any(not math.isfinite(v) or v <= 0.0 for v in values):
@@ -154,11 +159,11 @@ def make_step(levels: Sequence[tuple]) -> PopularityModel:
     for p, count in levels:
         try:
             count = as_int(count)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise InvalidParameterError(f"level count {count!r} is not an integer") from exc
         if count < 1:
             raise InvalidParameterError("level counts must be >= 1")
-        probs.extend([_as_float(p)] * count)
+        probs.extend([as_float(p, "probability")] * count)
     model = make_custom(probs)
     return PopularityModel(model.n_files, model.probs, source="step", perm=model.perm)
 

@@ -9,6 +9,8 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from codedcache.bounds import bound_exhaustive, bound_proposed, bound_two_group
 from codedcache.delivery import (
@@ -36,6 +38,7 @@ from golden import GOLDEN_BOUNDS, GOLDEN_CASES, GOLDEN_PLACEMENTS
 from oracles import (
     delivery_rate_exhaustive,
     order_stats_exhaustive,
+    popularity_instances,
     random_popularity,
     random_popularity_first_placement,
 )
@@ -201,3 +204,46 @@ def test_criterion_9_bound_sandwich():
                 bound_proposed(model, k, m, candidate.first_group_size),
             ):
                 assert report.value <= candidate.rate + 1e-12, (model.n_files, k, m, report.scheme)
+
+
+# Criteria 8 and 9 over M on random instances: hypothesis draws the popularity
+# model and K, and each test solves an equally spaced grid of M over [0, N].
+
+@st.composite
+def cache_grids(draw):
+    model, k, _ = draw(popularity_instances(max_n=20, max_k=8))
+    return model, k, np.linspace(0.0, model.n_files, draw(st.integers(3, 16))).tolist()
+
+
+def solve_grid(model, k, grid):
+    coeffs = rate_coefficients(model, order_stats(model, k))
+    return coeffs, [algorithm4(model, k, m, coeffs=coeffs) for m in grid]
+
+
+@seed(2024)
+@settings(max_examples=100, deadline=None, database=None)
+@given(cache_grids())
+def test_optimal_rate_is_nonincreasing_and_convex_in_m(instance):
+    """R*(M) is the lower convex hull of the dual points, read at M."""
+    _, optimal = solve_grid(*instance)
+    rates = np.array([candidate.rate for candidate in optimal])
+    tol = 1e-9 * np.maximum(1.0, rates)
+    assert np.all(np.diff(rates) <= tol[1:])
+    assert np.all(rates[:-2] - 2.0 * rates[1:-1] + rates[2:] >= -tol[1:-1])
+
+
+@seed(2025)
+@settings(max_examples=100, deadline=None, database=None)
+@given(cache_grids())
+def test_bounds_sit_below_the_optimal_rate_below_one_group(instance):
+    model, k, grid = instance
+    coeffs, optimal = solve_grid(model, k, grid)
+    for m, candidate in zip(grid, optimal):
+        tol = 1e-9 * max(1.0, candidate.rate)
+        assert candidate.rate <= average_rate(one_group_placement(model.n_files, k, m), coeffs) + tol
+        for report in (
+            bound_two_group(model, k, m),
+            bound_exhaustive(model, k, m),
+            bound_proposed(model, k, m, candidate.first_group_size),
+        ):
+            assert report.value <= candidate.rate + tol, (m, report.scheme)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -139,6 +140,17 @@ class TestSolve:
         {"K": 2, "M": 1, "popularity": {"type": "custom", "probs": 5}},
         {"K": 2, "M": 1, "popularity": {"type": "step", "levels": 5}},
         {"K": 2, "M": 1, "popularity": {"type": "step", "levels": [5]}},
+        {"N": 9, "K": 7, "M": True, "popularity": {"type": "zipf", "theta": 1.5}},
+        {"N": 9, "K": 7, "M": [1], "popularity": {"type": "zipf", "theta": 1.5}},
+        {"N": 9, "K": 7, "M": 1, "format": "xml", "popularity": {"type": "zipf", "theta": 1.5}},
+        {"N": 9, "K": 7, "M": 1, "out": 5, "popularity": {"type": "zipf", "theta": 1.5}},
+        {"N": 9, "K": 7, "M": "1/0", "popularity": {"type": "zipf", "theta": 1.5}},
+        {"N": 9, "K": 7, "M": 10**400, "popularity": {"type": "zipf", "theta": 1.5}},
+        ["--N", "9", "--K", "7", "--zipf", "1.5", "--M", "1/0"],
+        ["--N", "9", "--K", "7", "--zipf", "1.5", "--M", "1e400"],
+        ["--N", "9", "--K", "7", "--zipf", "1/0", "--M", "1"],
+        ["--K", "2", "--M", "1", "--probs", "1e400,1"],
+        ["--K", "2", "--M", "1", "--step", "1/0x2"],
     ])
     def test_bad_config_is_config_error(self, capsys, tmp_path, config):
         """A bad value from a config file (dict) or from flags (list) exits 2."""
@@ -162,6 +174,27 @@ class TestSolve:
         monkeypatch.setattr("codedcache.cli.algorithm4", broken)
         with pytest.raises(TypeError, match="library bug"):
             main(["solve", "--N", "9", "--K", "7", "--zipf", "1.5", "--M", "1"])
+
+    @pytest.mark.parametrize("name, value, flag", [
+        ("M", "5/2", "5/2"), ("M", 2.5, "2.5"), ("M", "5/2", "2.5"), ("format", "csv", "csv"),
+    ])
+    def test_config_value_reads_as_its_flag(self, capsys, tmp_path, name, value, flag):
+        """A config value and the flag of the same name take one converter."""
+        instance = ["--N", "9", "--K", "7", "--zipf", "1.5", *([] if name == "M" else ["--M", "4"])]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({name: value}))
+        from_config = run_cli(capsys, "solve", *instance, "--config", str(config))
+        assert from_config == run_cli(capsys, "solve", *instance, f"--{name}", flag)
+        assert from_config[0] == 0
+
+    def test_parser_collects_strings_only(self):
+        """No flag converts or restricts its value: ``_setting`` does, for flags and config."""
+        subparsers = [action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+        actions = [action for sub in subparsers for parser in sub.choices.values()
+                   for action in parser._actions]
+        assert len(actions) > 30
+        assert all(action.type is None and action.choices is None for action in actions)
 
     def test_flags_override_config(self, capsys, tmp_path):
         config = tmp_path / "config.json"
@@ -233,6 +266,25 @@ class TestSweep:
             capsys, "sweep", "--N", "4", "--K", "3", "--zipf", "1.0", "--M-grid", "5:1:1"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("grid", ["0:1/0:1", "0:1e400:1", "0:1", "0:1:1:1", "0:x:1", ["0:1:1"]])
+    def test_malformed_grid_is_config_error(self, capsys, tmp_path, grid):
+        instance = ["--N", "4", "--K", "3", "--zipf", "1.0"]
+        if isinstance(grid, str):
+            code, _, err = run_cli(capsys, "sweep", *instance, "--M-grid", grid)
+        else:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"M_grid": grid}))
+            code, _, err = run_cli(capsys, "sweep", *instance, "--config", str(path))
+        assert code == 2 and err.startswith("error: setting M_grid=")
+
+    def test_fraction_grid_from_config(self, capsys, tmp_path):
+        instance = ["--N", "6", "--K", "4", "--zipf", "1.2"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"M_grid": "0:6:3/2"}))
+        from_config = run_cli(capsys, "sweep", *instance, "--config", str(path))
+        assert from_config == run_cli(capsys, "sweep", *instance, "--M-grid", "0:6:1.5")
+        assert from_config[0] == 0 and len(from_config[1].splitlines()) == 6
 
 
 class TestSubpkt:
@@ -333,6 +385,21 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--placement", str(path), "--M", "1")
         assert code == 2 and "error:" in err
 
+    def test_placement_from_config(self, capsys, tmp_path):
+        """``placement`` is a config key like the flag, not ignored."""
+        from codedcache.popularity import make_zipf
+        from codedcache.solver import algorithm4
+
+        data = algorithm4(make_zipf(9, 1.5), 7, 4.0).placement.to_json_dict()
+        data["a"][0][1] += 0.01
+        (tmp_path / "tampered.json").write_text(json.dumps(data))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"placement": str(tmp_path / "tampered.json"), "M": 4}))
+        from_config = run_cli(capsys, "verify", "--config", str(config))
+        assert from_config[0] == 4
+        assert from_config == run_cli(capsys, "verify", "--placement",
+                                      str(tmp_path / "tampered.json"), "--M", "4")
+
     def test_intact_placement_passes(self, capsys, tmp_path):
         from codedcache.popularity import make_zipf
         from codedcache.solver import algorithm4
@@ -388,6 +455,32 @@ class TestIntegerSettings:
         path.write_text(json.dumps(config))
         code, _, err = run_cli(capsys, command, "--config", str(path))
         assert code == 2 and f"error: setting {name}=True is invalid" in err
+
+    @pytest.mark.parametrize("command, name, value, expected", [
+        ("verify", "seed", -1, "setting seed=-1 is invalid: must be >= 0"),
+        ("verify", "seed", 2**128, "seed must be in [0, 2^128)"),
+        ("verify", "demands", -1, "demand count must be >= 0"),
+        ("verify", "batch", 0, "setting batch=0 is invalid: must be >= 1"),
+        ("verify", "batch", -1, "setting batch=-1 is invalid: must be >= 1"),
+        ("sweep", "jobs", 0, "setting jobs=0 is invalid: must be >= 1"),
+        ("sweep", "jobs", -3, "setting jobs=-3 is invalid: must be >= 1"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_out_of_range(self, capsys, tmp_path, command, name, value, expected, source):
+        """A value that would reach numpy out of its range exits 2, from a flag or from config."""
+        others = {"trials": "200", "demands": "1"} if command == "verify" else {}
+        others.pop(name, None)
+        argv = [command, "--N", "4", "--K", "3", "--zipf", "1", "--M", "1",
+                *(arg for item in others.items() for arg in (f"--{item[0]}", item[1]))]
+        if source == "flag":
+            argv += [f"--{name}", str(value)]
+            expected = expected.replace(f"={value}", f"='{value}'")
+        else:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({name: value}))
+            argv += ["--config", str(path)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and err.startswith(f"error: {expected}") and err.count("\n") == 1
 
     def test_placement_dimensions(self, capsys, tmp_path):
         path = tmp_path / "placement.json"

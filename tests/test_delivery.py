@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from codedcache import delivery
 from codedcache.delivery import (
     DeliveryTranscript,
     FileLibrary,
@@ -20,7 +21,7 @@ from codedcache.delivery import (
 from codedcache.errors import DecodeError, InvalidFileSizeError, InvalidParameterError
 from codedcache.placement import PlacementMatrix, average_rate, rate_coefficients
 from codedcache.popularity import make_custom, make_zipf, order_stats
-from codedcache.solver import algorithm4
+from codedcache.solver import algorithm4, one_group_placement
 
 from oracles import (
     all_masks,
@@ -77,6 +78,15 @@ class TestLibrary:
     def test_deterministic(self):
         assert random_library(2, 64, seed=5).contents == random_library(2, 64, seed=5).contents
 
+    @pytest.mark.parametrize("key", [-1, 2**128])
+    def test_seed_outside_the_philox_key_range(self, key):
+        # one Philox constructor serves both streams and checks its key
+        with pytest.raises(InvalidParameterError, match="seed"):
+            random_library(2, 8, seed=key)
+        with pytest.raises(InvalidParameterError, match="seed"):
+            sample_demands(ZIPF9, 7, 3, seed=key)
+        assert random_library(1, 8, seed=2**128 - 1).n_files == 1
+
 
 class TestRealize:
     def test_minimal_file_size_reference(self):
@@ -127,6 +137,28 @@ class TestRealize:
         with pytest.raises(InvalidFileSizeError) as err:
             realize(placement, random_library(9, 36, seed=1))
         assert err.value.minimal_size == 35
+
+    @pytest.mark.parametrize("placement, f_bits", [
+        (algorithm4(ZIPF9, 7, 4.0).placement, 36),  # sizes not integral
+        (PlacementMatrix(1, 1, [[0.5, 0.4]]), 10),  # integral sizes 5 + 4 that miss F
+    ])
+    def test_rejection_computes_the_minimal_size_once(self, monkeypatch, placement, f_bits):
+        calls = []
+        minimal = delivery.minimal_file_size
+        monkeypatch.setattr(delivery, "minimal_file_size", lambda p: calls.append(p) or minimal(p))
+        with pytest.raises(InvalidFileSizeError) as err:
+            realize(placement, random_library(placement.n_files, f_bits, seed=1))
+        assert len(calls) == 1
+        assert str(err.value).endswith(f"use a multiple of {err.value.minimal_size} bits")
+
+    def test_subfile_below_zero_tol_enters_the_minimal_size(self):
+        # the 1.5e-10 entry at l = 7 holds 1.2e-7 of its file, so it is a real
+        # subfile; no denominator up to 10**9 recovers it, where skipping it
+        # gave a size that realize then refused
+        placement = one_group_placement(10, 12, 5.0000001)
+        assert 0 < placement.a[0, 7] <= 1e-9
+        with pytest.raises(InvalidFileSizeError, match="not recognizably rational"):
+            minimal_file_size(placement)
 
     def test_cache_budget_respected(self):
         placement = algorithm4(ZIPF9, 7, 2.5).placement
@@ -389,6 +421,11 @@ class TestSampleDemands:
         assert demands.shape == (50, 7)
         assert demands.min() >= 1 and demands.max() <= 9
         assert np.array_equal(demands, sample_demands(ZIPF9, 7, 50, seed=4))
+
+    def test_count_below_zero(self):
+        assert sample_demands(ZIPF9, 7, 0, seed=4).shape == (0, 7)
+        with pytest.raises(InvalidParameterError, match="demand count"):
+            sample_demands(ZIPF9, 7, -1, seed=4)
 
     def test_prefix_property(self):
         # trials own disjoint counter ranges: a shorter run is a prefix
