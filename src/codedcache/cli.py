@@ -48,18 +48,21 @@ SWEEP_HEADER = (
     "M,optimal_rate,one_group_rate,alg1_rate,lb_two_group_prior,lb_exhaustive_prior,lb_proposed"
 )
 SUBPKT_HEADER = "M,L_max,L_avg,worst_case_bound"
+GRID_POINTS_CAP = 100_000  # most points a --M-grid may hold
 
 
 def _parse_grid(text) -> list[float]:
-    """Inclusive lo:hi:step grid."""
+    """Inclusive lo:hi:step grid of at most GRID_POINTS_CAP points."""
     parts = text.split(":") if isinstance(text, str) else []
     if len(parts) != 3:
         raise ValueError("expected lo:hi:step")
     lo, hi, step = map(popularity.as_float, parts)
     if step <= 0 or hi < lo:
         raise ValueError("need step > 0 and hi >= lo")
-    count = int(round((hi - lo) / step))
-    grid = [lo + i * step for i in range(count + 1)]
+    count = (hi - lo) / step
+    if not count + 1 <= GRID_POINTS_CAP:  # also an infinite count
+        raise ValueError(f"the grid holds more than {GRID_POINTS_CAP} points")
+    grid = [lo + i * step for i in range(int(round(count)) + 1)]
     return [m for m in grid if m <= hi + 1e-9]
 
 

@@ -22,6 +22,8 @@ from .errors import DecodeError, InvalidFileSizeError, InvalidParameterError
 from .placement import ZERO_TOL, PlacementMatrix
 from .popularity import PopularityModel, binomials
 
+LIBRARY_BITS_CAP = 1 << 30  # N F, 128 MiB; the generator takes 8 bytes per byte of file
+
 
 def _int_to_bytes(x: int, nbits: int) -> bytes:
     return x.to_bytes((nbits + 7) // 8, "little")
@@ -78,7 +80,9 @@ def _philox(seed: int) -> np.random.Generator:
 
 
 def random_library(n_files: int, file_size_bits: int, seed: int) -> FileLibrary:
-    """Reproducible random file contents."""
+    """Reproducible random file contents, N F <= LIBRARY_BITS_CAP bits in all."""
+    if n_files * file_size_bits > LIBRARY_BITS_CAP:
+        raise InvalidFileSizeError(f"{n_files} files x {file_size_bits} bits exceed {LIBRARY_BITS_CAP}")
     rng = _philox(seed)
     nbytes = (file_size_bits + 7) // 8
     files = []

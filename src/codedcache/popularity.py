@@ -132,15 +132,7 @@ def as_float(value, name: str = "value") -> float:
     raise InvalidParameterError(f"{name} {value!r} is not a number")
 
 
-def make_custom(probs: Sequence) -> PopularityModel:
-    """Popularity from an explicit probability list.
-
-    Entries may arrive in any order; they are sorted non-increasing
-    (stable, so equal probabilities keep their relative order) and the
-    sorting permutation is retained.  The sum must be within ``SUM_TOL``
-    of 1 and is rescaled exactly to 1.
-    """
-    values = [as_float(p, "probability") for p in probs]
+def _sorted_model(values: list[float], source: str) -> PopularityModel:
     if not values:
         raise InvalidDistributionError("empty probability list")
     if any(not math.isfinite(v) or v <= 0.0 for v in values):
@@ -150,7 +142,18 @@ def make_custom(probs: Sequence) -> PopularityModel:
         raise InvalidDistributionError(f"probabilities sum to {total!r}, not 1")
     order = sorted(range(len(values)), key=lambda i: -values[i])
     sorted_probs = np.array([values[i] for i in order], dtype=float) / total
-    return PopularityModel(len(values), sorted_probs, source="custom", perm=tuple(order))
+    return PopularityModel(len(values), sorted_probs, source=source, perm=tuple(order))
+
+
+def make_custom(probs: Sequence) -> PopularityModel:
+    """Popularity from an explicit probability list.
+
+    Entries may arrive in any order; they are sorted non-increasing
+    (stable, so equal probabilities keep their relative order) and the
+    sorting permutation is retained.  The sum must be within ``SUM_TOL``
+    of 1 and is rescaled exactly to 1.
+    """
+    return _sorted_model([as_float(p, "probability") for p in probs], "custom")
 
 
 def make_step(levels: Sequence[tuple]) -> PopularityModel:
@@ -164,8 +167,7 @@ def make_step(levels: Sequence[tuple]) -> PopularityModel:
         if count < 1:
             raise InvalidParameterError("level counts must be >= 1")
         probs.extend([as_float(p, "probability")] * count)
-    model = make_custom(probs)
-    return PopularityModel(model.n_files, model.probs, source="step", perm=model.perm)
+    return _sorted_model(probs, "step")
 
 
 def _spec_field(spec: dict, name: str, *, array: bool = False):

@@ -23,11 +23,11 @@ tuples and picks the winner by the set rule of ``TIE_TOL``; only the
 winner is materialized, from the entries the search computed.
 ``algorithm1/2/3`` search every tuple of their family.  ``algorithm4``
 searches all three, but the LP dual (``solve_dual``, a few vectorized
-simplex pivots) limits it to O(N K) tuples instead of O(N^2 K^2), and
-it evaluates each closed form once, over all of them.  It returns with
-the winner the dual, the certificate ``lp_oracle.certify`` reads, and
-the zero-tail family's winning rate, ``algorithm1``'s, which that same
-pass evaluates: one ``sweep`` grid point is one search.
+simplex pivots) limits it to the tuples whose two dual points pass a
+slack filter, and it evaluates each closed form once, over all of them.
+It returns with the winner the dual, which ``lp_oracle.certify`` reads,
+and ``algorithm1``'s winning rate from that same pass: one ``sweep``
+grid point is one search.
 """
 
 from __future__ import annotations
@@ -58,15 +58,14 @@ TIE_TOL = 1e-12
 #: into a simpler structure; such tuples are skipped, not clamped.
 STRICT_TOL = 1e-12
 #: A dual line is tight when its slack is at most this share of
-#: max(1, |lambda_1| + |mu| M).  A candidate in the set rule's window is
-#: within TIE_TOL of the optimum, which meets the dual value up to
-#: rounding, so one of its two lines has slack <= 2 TIE_TOL plus rounding
-#: (see ``algorithm4``).  Any larger tolerance keeps the winner exact and
-#: only adds candidates; ``algorithm4`` checks the premise on every call.
+#: max(1, |lambda_1| + |mu| M), and its partner passes the slack filter
+#: when its weighted slack is (see ``algorithm4``).  Any larger tolerance
+#: keeps the winner exact and only adds candidates; ``algorithm4`` checks
+#: the premise on every call.
 TIGHT_TOL = 1e-9
 
 _ABSENT = 10**9  # stands in for an absent tuple entry in a key
-_SLICE = 1 << 16  # most tuples a block of the tight search holds
+_SLICE = 1 << 16  # most pairs a slice of the slack filter weighs
 
 
 class PlacementCase(str, enum.Enum):
@@ -436,47 +435,35 @@ def _candidate(n: int, k: int, rate: float, key: tuple, rows: _Rows) -> Candidat
     )
 
 
-def _ranges(starts, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each entry's i, and the ranges starts[i], starts[i] + 1, .. of counts[i] entries joined."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts - starts)[owner]
+def _pairs(n: int, k: int, m: float, effs: list[int], dual: Dual, tol: float):
+    """Blocks of the case 2.i and 2.ii tuples whose two dual points pass the slack filter.
 
-
-def _tight_blocks(n: int, k: int, effs: list[int], t_n: np.ndarray, t_l: np.ndarray) -> list[tuple]:
-    """Blocks of the case 2.i and 2.ii tuples that weigh a tight point (t_n, t_l), as flat arrays.
-
-    A tuple weighs two points, (n_eff, l_o) and the n_o point: (n_o, l_o)
-    in case 2.i, (n_o, l_1) in case 2.ii.  A tight point as the n_eff point
-    pairs with every n_o below it (``below`` of them), as the n_o point
-    with every n_eff in ``effs`` above it (``later``, from ``effs[after]``).
-    Blocks hold at most _SLICE tuples, which bounds the closed forms'
-    temporaries when many lines are tight.
+    Point (n, l) lies at x = n l / K.  A tight point T (slack <= tol)
+    keeps each point Q across x = M with n_Q != n_T and lever-rule
+    weighted slack (x_T - M) / (x_T - x_Q) slack_Q <= tol.  Weights are at
+    most 1, so two tight points pass from either end: only the left keeps
+    them.  The pair's smaller n is n_o, its larger the n_eff, which must
+    be in ``effs``; equal sizes give the case 2.i tuple (n_o, n_eff, l),
+    others case 2.ii with l_o of the n_eff point and l_1 of the n_o point.
+    Tight points go a few at a time: a slice holds max(_SLICE, N K) pairs.
     """
+    n_of = np.arange(n * k) // k + 1
+    x = n_of * (np.arange(n * k) % k + 1) / k
+    slack = dual.slack.ravel()
+    tight, left = slack <= tol, x <= m
     is_eff = np.zeros(n + 1, dtype=bool)
     is_eff[effs] = True
-    effs = np.array(effs, dtype=np.int64)
-    below = (t_n - 1) * is_eff[t_n]
-    after = np.searchsorted(effs, t_n, side="right")
-    later = len(effs) - after
-    eff_of, heads = _ranges(1, below)
-    head_of, at = _ranges(after, later)
-    blocks = [(  # case 2.i
-        np.concatenate((heads, t_n[head_of])),
-        np.concatenate((t_n[eff_of], effs[at])),
-        t_l[np.concatenate((eff_of, head_of))],
-    )]
-    eff_of, point = _ranges(0, below * k)  # point (n_o, l_1) = divmod(point, K) + 1
-    head_of, at = _ranges(after * k, later * k)  # (n_eff, l_o) = (effs[at // K], at % K + 1)
-    n_o, n_eff, l_o, l_1 = (
-        np.concatenate((point // k + 1, t_n[head_of])),
-        np.concatenate((t_n[eff_of], effs[at // k])),
-        np.concatenate((t_l[eff_of], at % k + 1)),
-        np.concatenate((point % k + 1, t_l[head_of])),
-    )
-    two = np.flatnonzero(l_o != l_1)  # case 2.ii needs two sizes
-    blocks.append((n_o[two], n_eff[two], l_o[two], l_1[two]))
-    return [tuple(entry[at : at + _SLICE] for entry in block)
-            for block in blocks for at in range(0, len(block[0]), _SLICE)]
+    ends, rows = np.flatnonzero(tight), max(1, _SLICE // (n * k))
+    for t in (ends[at : at + rows, None] for at in range(0, len(ends), rows)):
+        with np.errstate(divide="ignore", invalid="ignore"):  # same-side entries are masked
+            weighed = (x[t] - m) / (x[t] - x) * slack
+        keep = (weighed <= tol) & (left[t] != left) & (n_of[t] != n_of) & (left[t] | ~tight)
+        i, j = np.nonzero(keep)
+        head, tail = np.sort([t[i, 0], j], axis=0)  # flat indices run n-major
+        n_o, l_1, n_eff, l_o = head // k + 1, head % k + 1, tail // k + 1, tail % k + 1
+        one, two = is_eff[n_eff] & (l_o == l_1), is_eff[n_eff] & (l_o != l_1)
+        yield n_o[one], n_eff[one], l_o[one]
+        yield n_o[two], n_eff[two], l_o[two], l_1[two]
 
 
 def _checked_coefficients(model: PopularityModel, k: int, m: float, coeffs) -> RateCoefficients:
@@ -498,7 +485,7 @@ def _search(
     zero_tail: bool = False,
     two_group: bool = False,
     three_group: bool = False,
-    tight: tuple[np.ndarray, np.ndarray] | None = None,
+    tight: tuple[Dual, float] | None = None,
 ) -> tuple[CandidateSolution | None, float | None]:
     """Set-rule winner over the requested families, and the zero-tail family's winning rate.
 
@@ -509,10 +496,9 @@ def _search(
     ``PlacementCase``.  The cached groups must jointly hold at least the
     cache worth of files, so n_1 ranges over max(2, floor(M) + 1)..N-1.
     Every tuple is evaluated, one n_eff at a time, unless ``tight`` gives
-    the n and l of the tight dual lines: then only the two- and
-    three-group tuples that weigh one of them are, in one block per closed
-    form (see ``algorithm4`` and ``_tight_blocks``).  Tuples need
-    n_o < n_eff.
+    the LP dual and its tolerance: then only the two- and three-group
+    tuples whose points pass the slack filter are (see ``algorithm4`` and
+    ``_pairs``).  Tuples need n_o < n_eff.
     """
     coeffs = _checked_coefficients(model, k, m, coeffs)
     n = model.n_files
@@ -528,7 +514,7 @@ def _search(
             (np.arange(1, n_eff)[:, None, None], n_eff, sizes[:, None], sizes),
         )]
     else:
-        blocks = _tight_blocks(n, k, effs, *tight)
+        blocks = _pairs(n, k, m, effs, *tight)
     found, zero_rate = [], None
     with np.errstate(divide="ignore", invalid="ignore"):  # rates of masked tuples
         if zero_tail:
@@ -568,31 +554,35 @@ def algorithm4(
     With u_{n,l} = C(K,l) (a_{n,l} - a_{n+1,l}) and a_{N+1,l} = 0, a
     placement meeting the partition and cache equalities is a convex
     combination of the dual's points (n l / K, G_{n,l} / C(K,l) - S_n) and
-    (0, g_{1,0}), with weights u_{n,l} and a_{1,0}.  So for any optimal
+    (0, g_{1,0}), with weights u_{n,l} and a_{1,0}.  So for any
     (lambda_1, mu), its rate minus the dual value D is
     a_{1,0} slack_0 + sum u_{n,l} slack_{n,l}.  A two- or three-group
-    candidate has a_{1,0} = 0 and weight on two points only: (n_o, l_o)
-    and (n_eff, l_o) in case 2.i, (n_o, l_1) and (n_eff, l_o) in case
-    2.ii.  One carries weight >= 1/2, so a candidate within delta of D
-    has a line with slack <= 2 delta.
+    candidate weighs two points only, P = (n_o, l_o) in case 2.i or
+    (n_o, l_1) in case 2.ii, and Q = (n_eff, l_o).  Its entries exceed
+    STRICT_TOL, so both weights are positive; as they sum to 1 and
+    average x to M, M lies strictly between x_P and x_Q and the lever
+    rule gives w_Q = (x_P - M) / (x_P - x_Q).  (Case 2.i has x_P < x_Q;
+    x_P = x_Q in case 2.ii is the singular tuple the mask drops.)  So a
+    candidate within delta of D has w_P slack_P, w_Q slack_Q <= delta,
+    and slack <= 2 delta on its point of weight >= 1/2.
 
-    Hence the search evaluates the zero-tail family whole and the two- and
-    three-group tuples with a point on a tight line.  When the winner
-    found has 4 (rate - D + TIE_TOL) <= the scaled TIGHT_TOL, every
-    candidate in the set rule's window has a line with at most half that
-    slack, so all of them were evaluated and the winner is the full
-    search's, bit for bit; otherwise the full search runs.  Either way the
-    winner carries the dual as ``dual``, and as ``alg1_rate`` the rate of
-    ``algorithm1``'s winner: both searches evaluate the zero-tail family
-    whole, so no second search is needed.
+    Hence the search evaluates the zero-tail family whole and the tuples
+    ``_pairs`` keeps: a tight point (slack <= tol, the scaled TIGHT_TOL)
+    and a partner across M of weighted slack <= tol.  When the winner
+    found has 4 (rate - D + TIE_TOL) <= tol, each candidate in the set
+    rule's window is within tol / 4 of D and passes both tests with a
+    margin of tol / 2 or more for the rounding of rates, slacks and
+    weights, orders of magnitude smaller.  So all of them were evaluated
+    and the winner is the full search's, bit for bit; otherwise the full
+    search runs.  Either way the winner carries the dual as ``dual`` and
+    ``algorithm1``'s winning rate, from the same zero-tail pass, as
+    ``alg1_rate``.
     """
     coeffs = _checked_coefficients(model, k_users, cache, coeffs)
     dual = solve_dual(coeffs, cache)
     tol = TIGHT_TOL * max(1.0, abs(dual.lambda_1) + abs(dual.mu) * cache)
-    tight_n, tight_l = np.nonzero(dual.slack <= tol)
     families = {"zero_tail": True, "two_group": True, "three_group": True}
-    tight = (tight_n + 1, tight_l + 1)
-    best, zero_rate = _search(model, k_users, cache, coeffs, tight=tight, **families)
+    best, zero_rate = _search(model, k_users, cache, coeffs, tight=(dual, tol), **families)
     if 4.0 * (best.rate - dual.value + TIE_TOL) > tol:
         best, zero_rate = _search(model, k_users, cache, coeffs, **families)
     return replace(best, dual=dual, alg1_rate=zero_rate)

@@ -3,6 +3,7 @@
 import bisect
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import strategies as st
@@ -17,7 +18,18 @@ from codedcache.delivery import (
 from codedcache.errors import DecodeError, InvalidParameterError
 from codedcache.placement import PlacementMatrix, average_rate, partition_weights, rate_coefficients
 from codedcache.popularity import make_custom, make_step, make_zipf, order_stats
-from codedcache.solver import Dual
+from codedcache.solver import (
+    _SLICE,
+    TIE_TOL,
+    TIGHT_TOL,
+    Dual,
+    _candidate,
+    _near_minimum,
+    _priced,
+    _search,
+    _winner,
+    solve_dual,
+)
 
 
 def order_stats_exhaustive(probs, k_users: int) -> np.ndarray:
@@ -431,3 +443,75 @@ def bound_exhaustive_thresholds(model, k_users: int, cache: float) -> BoundRepor
     if best is None:  # no file sits below the fixed threshold
         return BoundReport(BoundScheme.EXHAUSTIVE_PRIOR, p_fixed, model.n_files, 0, 0.0, True)
     return best
+
+
+# ---------------------------------------------------------------------------
+# algorithm4 with the one-sided tight-line search: every two- and three-group
+# tuple with one point on a tight dual line, however large its partner's slack.
+
+
+def _ranges(starts, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's i, and the ranges starts[i], starts[i] + 1, .. of counts[i] entries joined."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts - starts)[owner]
+
+
+def _tight_blocks(n: int, k: int, effs: list[int], t_n: np.ndarray, t_l: np.ndarray) -> list[tuple]:
+    """Blocks of the case 2.i and 2.ii tuples that weigh a tight point (t_n, t_l), as flat arrays.
+
+    A tuple weighs two points, (n_eff, l_o) and the n_o point: (n_o, l_o)
+    in case 2.i, (n_o, l_1) in case 2.ii.  A tight point as the n_eff point
+    pairs with every n_o below it (``below`` of them), as the n_o point
+    with every n_eff in ``effs`` above it (``later``, from ``effs[after]``).
+    Blocks hold at most _SLICE tuples.
+    """
+    is_eff = np.zeros(n + 1, dtype=bool)
+    is_eff[effs] = True
+    effs = np.array(effs, dtype=np.int64)
+    below = (t_n - 1) * is_eff[t_n]
+    after = np.searchsorted(effs, t_n, side="right")
+    later = len(effs) - after
+    eff_of, heads = _ranges(1, below)
+    head_of, at = _ranges(after, later)
+    blocks = [(  # case 2.i
+        np.concatenate((heads, t_n[head_of])),
+        np.concatenate((t_n[eff_of], effs[at])),
+        t_l[np.concatenate((eff_of, head_of))],
+    )]
+    eff_of, point = _ranges(0, below * k)  # point (n_o, l_1) = divmod(point, K) + 1
+    head_of, at = _ranges(after * k, later * k)  # (n_eff, l_o) = (effs[at // K], at % K + 1)
+    n_o, n_eff, l_o, l_1 = (
+        np.concatenate((point // k + 1, t_n[head_of])),
+        np.concatenate((t_n[eff_of], effs[at // k])),
+        np.concatenate((t_l[eff_of], at % k + 1)),
+        np.concatenate((point % k + 1, t_l[head_of])),
+    )
+    two = np.flatnonzero(l_o != l_1)  # case 2.ii needs two sizes
+    blocks.append((n_o[two], n_eff[two], l_o[two], l_1[two]))
+    return [tuple(entry[at : at + _SLICE] for entry in block)
+            for block in blocks for at in range(0, len(block[0]), _SLICE)]
+
+
+def algorithm4_tight_lines(model, k: int, m: float, coeffs):
+    """``algorithm4`` searching every tuple with one point on a tight dual line.
+
+    Same dual, tolerance, premise check and full-search fallback; the
+    zero-tail family is searched whole.
+    """
+    dual = solve_dual(coeffs, m)
+    tol = TIGHT_TOL * max(1.0, abs(dual.lambda_1) + abs(dual.mu) * m)
+    n = model.n_files
+    pref = np.zeros((n + 1, k + 1))
+    np.cumsum(coeffs.g, axis=0, out=pref[1:])
+    effs = list(range(max(2, math.floor(m) + 1), n)) + [n]
+    tight_n, tight_l = np.nonzero(dual.slack <= tol)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        found = _near_minimum(n, [], *_priced(pref, k, m, np.arange(1, n + 1)))
+        zero_rate = _winner(found)[0]
+        for block in _tight_blocks(n, k, effs, tight_n + 1, tight_l + 1):
+            found += _near_minimum(n, found, *_priced(pref, k, m, *block))
+    best = _candidate(n, k, *_winner(found))
+    if 4.0 * (best.rate - dual.value + TIE_TOL) > tol:
+        best, zero_rate = _search(model, k, m, coeffs, zero_tail=True, two_group=True,
+                                  three_group=True)
+    return replace(best, dual=dual, alg1_rate=zero_rate)

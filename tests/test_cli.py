@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from codedcache import solver
+from codedcache import cli, solver
 from codedcache.cli import _sweep_row, build_parser, main
 from codedcache.placement import rate_coefficients
 from codedcache.popularity import make_step, make_zipf, order_stats
@@ -267,7 +267,10 @@ class TestSweep:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("grid", ["0:1/0:1", "0:1e400:1", "0:1", "0:1:1:1", "0:x:1", ["0:1:1"]])
+    @pytest.mark.parametrize("grid", [
+        "0:1/0:1", "0:1e400:1", "0:1", "0:1:1:1", "0:x:1", ["0:1:1"],
+        "0:1:1e-320", "0:1e308:1e-10", "0:1:1e-9",  # two infinite point counts, one huge
+    ])
     def test_malformed_grid_is_config_error(self, capsys, tmp_path, grid):
         instance = ["--N", "4", "--K", "3", "--zipf", "1.0"]
         if isinstance(grid, str):
@@ -277,6 +280,11 @@ class TestSweep:
             path.write_text(json.dumps({"M_grid": grid}))
             code, _, err = run_cli(capsys, "sweep", *instance, "--config", str(path))
         assert code == 2 and err.startswith("error: setting M_grid=")
+
+    def test_grid_points_cap(self):
+        assert len(cli._parse_grid(f"0:{cli.GRID_POINTS_CAP - 1}:1")) == cli.GRID_POINTS_CAP
+        with pytest.raises(ValueError, match="more than"):
+            cli._parse_grid(f"0:{cli.GRID_POINTS_CAP}:1")
 
     def test_fraction_grid_from_config(self, capsys, tmp_path):
         instance = ["--N", "6", "--K", "4", "--zipf", "1.2"]
@@ -362,6 +370,14 @@ class TestVerify:
         )
         assert code == 0 and err == ""
         assert out.endswith("verify: 1 instance(s), 0 failed check(s)\n")
+
+    def test_library_beyond_the_cap_exits_2(self, capsys):
+        # this M needs files of about 3e18 bits, which numpy cannot allocate
+        code, out, err = run_cli(
+            capsys, "verify", "--N", "40", "--K", "12", "--zipf", "0.8", "--M", "3.1234567"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: 40 files x 3178982110559853636 bits exceed 1073741824\n"
 
     def test_tampered_placement_fails(self, capsys, tmp_path):
         from codedcache.popularity import make_zipf

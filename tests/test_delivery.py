@@ -78,6 +78,12 @@ class TestLibrary:
     def test_deterministic(self):
         assert random_library(2, 64, seed=5).contents == random_library(2, 64, seed=5).contents
 
+    @pytest.mark.parametrize("n, f_bits", [(2, delivery.LIBRARY_BITS_CAP // 2 + 1),
+                                           (delivery.LIBRARY_BITS_CAP + 1, 1), (1, 2**70)])
+    def test_library_beyond_the_bits_cap(self, n, f_bits):
+        with pytest.raises(InvalidFileSizeError, match="bits exceed 1073741824"):
+            random_library(n, f_bits, seed=1)
+
     @pytest.mark.parametrize("key", [-1, 2**128])
     def test_seed_outside_the_philox_key_range(self, key):
         # one Philox constructor serves both streams and checks its key

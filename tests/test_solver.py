@@ -33,6 +33,7 @@ from codedcache.solver import (
 
 from golden import GOLDEN_CASES, GOLDEN_PLACEMENTS
 from oracles import (
+    algorithm4_tight_lines,
     candidate_search_exhaustive,
     popularity_instances,
     random_popularity,
@@ -406,14 +407,20 @@ def test_algorithm4_matches_full_search(instance):
 
 @pytest.mark.parametrize("m", [2.5, 5.5, 6.0])
 def test_each_dual_point_of_the_winner_finds_it(m):
-    # the winner weighs two dual lines; the search restricted to either one
-    # alone must still reach it, through the n_o side or the n_eff side
+    # the winner weighs two dual points; with either one alone tight and
+    # every other slack infinite but its partner's, the slack filter keeps
+    # the pair, from the left end or the right
     coeffs = coeffs_for(ZIPF9, 7)
     best = algorithm4(ZIPF9, 7, m, coeffs=coeffs)
-    points = [(best.n_o, best.l_1 or best.l_o), (best.n_1 or 9, best.l_o)]
-    for n, l in points:
+    dual = best.dual
+    tol = TIGHT_TOL * max(1.0, abs(dual.lambda_1) + abs(dual.mu) * m)
+    points = [(best.n_o - 1, (best.l_1 or best.l_o) - 1), ((best.n_1 or 9) - 1, best.l_o - 1)]
+    for end, partner in (points, points[::-1]):
+        slack = np.full_like(dual.slack, np.inf)
+        slack[partner] = dual.slack[partner]
+        slack[end] = 0.0
         got, _ = _search(ZIPF9, 7, m, coeffs, zero_tail=True, two_group=True, three_group=True,
-                         tight=(np.array([n]), np.array([l])))
+                         tight=(dual._replace(slack=slack), tol))
         assert_same_solution(got, best)
 
 
@@ -456,6 +463,37 @@ def test_algorithm4_matches_full_search_seeded(monkeypatch):
     for n, k, m in ((1000, 30, 3.7), (2000, 40, 10.0)):
         algorithm4(make_zipf(n, 1.0), k, m)
     assert fallbacks == []
+
+
+def full_key(candidate):
+    """Everything a caller reads of a winner, as bits."""
+    return (candidate.case_id, candidate.n_o, candidate.n_1, candidate.l_o, candidate.l_1,
+            candidate.rate.hex(), candidate.alg1_rate.hex(), candidate.placement.a.tobytes())
+
+
+def assert_same_as_tight_lines(model, k, m):
+    coeffs = coeffs_for(model, k)
+    got, want = algorithm4(model, k, m, coeffs=coeffs), algorithm4_tight_lines(model, k, m, coeffs)
+    assert full_key(got) == full_key(want), (model.n_files, k, m)
+
+
+def test_slack_filter_matches_tight_lines_seeded():
+    """The two-sided slack filter picks the one-sided tight-line search's winner, bit for bit."""
+    rng = np.random.default_rng(1916)
+    for _ in range(1000):
+        assert_same_as_tight_lines(*seeded_instance(rng))
+    for n, k, m in ((200, 20, 50.0), (1000, 30, 3.7), (300, 12, 0.0), (300, 12, 300.0)):
+        assert_same_as_tight_lines(make_zipf(n, 1.0), k, m)
+    # uniform popularity at K = 1: every dual line is tight, M on and off the x grid
+    for m in (0.0, 1.0, 37.0, 58.5, 99.25, 150.0, 299.0, 300.0):
+        assert_same_as_tight_lines(make_custom(["1/300"] * 300), 1, m)
+
+
+@seed(1916)
+@settings(max_examples=200, deadline=None, database=None)
+@given(popularity_instances(max_n=40, max_k=10))
+def test_slack_filter_matches_tight_lines(instance):
+    assert_same_as_tight_lines(*instance)
 
 
 def test_only_algorithm4_carries_the_dual(monkeypatch):
@@ -501,6 +539,44 @@ def test_tight_search_calls_each_closed_form_once(monkeypatch):
         calls.clear()
         best = algorithm4(model, k, m)
         assert sorted(calls) == ["_case2i", "_case2ii", "_zero_tail"], best.case_id
+
+
+def pairs_by_loop(n, k, m, effs, slack, tol):
+    """The tuples of every pair the slack filter admits, one pair at a time."""
+    points = [(p, l) for p in range(1, n + 1) for l in range(1, k + 1)]
+    kept = set()
+    for t in points:
+        if slack[t[0] - 1, t[1] - 1] > tol:
+            continue
+        x_t = t[0] * t[1] / k
+        for q in points:
+            x_q = q[0] * q[1] / k
+            if q[0] == t[0] or (x_t <= m) == (x_q <= m):
+                continue
+            if (x_t - m) / (x_t - x_q) * slack[q[0] - 1, q[1] - 1] <= tol:
+                (n_o, l_1), (n_eff, l_o) = sorted((t, q))
+                if n_eff in effs:
+                    kept.add((n_o, n_eff, l_o) if l_o == l_1 else (n_o, n_eff, l_o, l_1))
+    return kept
+
+
+@pytest.mark.parametrize("slice_size", [1, 7, 1 << 16])
+def test_slack_filter_keeps_the_pairs_a_loop_keeps(monkeypatch, slice_size):
+    """Both ends, the weighted margin and the slicing, on slacks around the tolerance."""
+    monkeypatch.setattr(solver, "_SLICE", slice_size)
+    rng = np.random.default_rng(77)
+    tol = 1e-9
+    for _ in range(60):
+        n, k = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        m = [float(rng.uniform(0.0, n)), int(rng.integers(0, n + 1)) * int(rng.integers(0, k + 1)) / k,
+             0.0, float(n)][int(rng.integers(4))]
+        effs = list(range(max(2, int(m) + 1), n)) + [n]
+        slack = rng.choice([0.0, -1e-15, 0.3 * tol, tol, 3 * tol, 1e-6, 1.0], size=(n, k))
+        blocks = list(solver._pairs(n, k, m, effs, solver.Dual(0.0, 0.0, 0.0, slack, 0.0), tol))
+        got = [tuple(map(int, entries)) for block in blocks for entries in zip(*block)]
+        assert all(len(block[0]) <= max(slice_size, n * k) for block in blocks)
+        assert len(got) == len(set(got))
+        assert set(got) == pairs_by_loop(n, k, m, effs, slack, tol), (n, k, m)
 
 
 class TestDualLemma:
