@@ -13,7 +13,8 @@ fractions in either; a malformed one is a configuration error.
 Exit codes: 0 success, 2 configuration error, 4 verification failure.
 K ranges over 1..62: the subfile counts C(K, l) are int64.  The LP dual
 has two free variables, so certification has no size limit, but
-``verify``'s bit-exact decode builds the table of all 2^K user subsets.
+``verify``'s bit-exact decode lists the C(K, l) user subsets of every
+subset size l its placement uses.
 """
 
 from __future__ import annotations

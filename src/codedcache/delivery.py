@@ -12,6 +12,7 @@ at the tail, so a message is as long as its largest operand.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +23,9 @@ from .errors import DecodeError, InvalidFileSizeError, InvalidParameterError
 from .placement import ZERO_TOL, PlacementMatrix
 from .popularity import PopularityModel, binomials
 
-LIBRARY_BITS_CAP = 1 << 30  # N F, 128 MiB; the generator takes 8 bytes per byte of file
+LIBRARY_BITS_CAP = 1 << 30  # N F, 128 MiB; the generator takes 4 bytes per byte of file
+DEMAND_DRAWS_CAP = 1 << 24  # count K of one demand matrix; about 26 bytes per draw at peak
+_BUCKETS = 1 << 12  # a power of two, so u * _BUCKETS and b / _BUCKETS are exact
 
 
 def _int_to_bytes(x: int, nbits: int) -> bytes:
@@ -39,19 +42,14 @@ def _bytes_to_int(data: bytes, nbits: int) -> int:
 
 
 @functools.cache
-def _subsets(k_users: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
-    """Per subset size l: the l-user masks ascending, and each mask's member bits.
+def _level(k_users: int, size: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The ``size``-user masks ascending, and each mask's member bits ascending.
 
-    Member tuples share one list of ``1 << j`` ints, so the K=12 table
-    stays around half a megabyte.
+    Only the levels a placement uses are ever built: C(K, l) masks, not 2^K.
     """
-    bits = [1 << j for j in range(k_users)]
-    levels = [([], []) for _ in range(k_users + 1)]
-    for mask in range(1 << k_users):
-        masks, members = levels[mask.bit_count()]
-        masks.append(mask)
-        members.append(tuple(b for b in bits if mask & b))
-    return tuple((tuple(masks), tuple(members)) for masks, members in levels)
+    bits = [1 << j for j in reversed(range(k_users))]
+    members = [c[::-1] for c in itertools.combinations(bits, size)][::-1]
+    return tuple(sum(m) for m in members), tuple(members)
 
 
 @dataclass(frozen=True)
@@ -87,7 +85,7 @@ def random_library(n_files: int, file_size_bits: int, seed: int) -> FileLibrary:
     nbytes = (file_size_bits + 7) // 8
     files = []
     for _ in range(n_files):
-        raw = bytearray(rng.integers(0, 256, size=nbytes, dtype=np.uint64).astype(np.uint8).tobytes())
+        raw = bytearray(rng.integers(0, 256, size=nbytes, dtype=np.uint32).astype(np.uint8).tobytes())
         spare = 8 * nbytes - file_size_bits
         if spare:
             raw[-1] &= 0xFF >> spare
@@ -145,15 +143,14 @@ def realize(placement: PlacementMatrix, library: FileLibrary) -> PlacementRealiz
         raise InvalidFileSizeError(f"subfile sizes are not integral or do not add up at "
                                    f"F={f_bits}; use a multiple of {minimal} bits", minimal)
 
-    table = _subsets(k)
     subfiles: dict[tuple[int, int], int] = {}
     for idx, (data, row) in enumerate(zip(library.contents, sizes.tolist())):
         offset = 0
-        for (masks, _), size in zip(table, row):
+        for level, size in enumerate(row):
             if not size:
                 continue
             low = (1 << size) - 1
-            for mask in masks:  # read only the bytes the subfile spans: O(F) per file
+            for mask in _level(k, level)[0]:  # read only the bytes the subfile spans: O(F) per file
                 field = int.from_bytes(data[offset // 8:(offset + size + 7) // 8], "little")
                 subfiles[(idx, mask)] = (field >> offset % 8) & low
                 offset += size
@@ -197,11 +194,11 @@ def serve(realization: PlacementRealization, demand) -> DeliveryTranscript:
     get = realization.subfiles.get
     messages = {}
     total = 0
-    for level, (masks, members) in enumerate(_subsets(k)[1:]):
+    for level in range(k):
         length_of = {b: rows[f][level] for b, f in file_of.items()}
         if not any(length_of.values()):
             continue
-        for mask, bits in zip(masks, members):
+        for mask, bits in zip(*_level(k, level + 1)):
             length = max([length_of[b] for b in bits])
             if length:
                 payload = 0
@@ -227,11 +224,11 @@ def decode(realization: PlacementRealization, transcript: DeliveryTranscript, us
     messages = transcript.messages
 
     fields = []  # (piece, bits) in file order
-    for (masks, members), size in zip(_subsets(k), realization.sizes[file_idx].tolist()):
+    for level, size in enumerate(realization.sizes[file_idx].tolist()):
         if not size:
             continue
         low = (1 << size) - 1
-        for mask, bits in zip(masks, members):
+        for mask, bits in zip(*_level(k, level)):
             if mask & bit:
                 piece = get((file_idx, mask), 0)  # cached locally
             else:
@@ -260,15 +257,28 @@ def sample_demands(model: PopularityModel, k_users: int, count: int, seed: int) 
     """count x K matrix of 1-based demands, i.i.d. from ``model``.
 
     Row t consumes the Philox stream keyed by ``seed`` at counter offsets
-    t*K .. t*K + K - 1, so trials are independently recomputable.
+    t*K .. t*K + K - 1, so trials are independently recomputable.  A draw
+    u in [0, 1) requests file 1 + #{n : cum_n <= u}, cum the cumulative
+    popularity.  Within bucket b = floor(u B) of B = 2^12 equal buckets
+    that count is #{n : cum_n <= b/B}, read from a table, unless some
+    cum_n lies strictly inside the bucket; only draws in such buckets are
+    binary-searched.  At most ``DEMAND_DRAWS_CAP`` draws (count K).
     """
     if count < 0:
         raise InvalidParameterError(f"demand count must be >= 0, got {count}")
+    if count * k_users > DEMAND_DRAWS_CAP:
+        raise InvalidParameterError(f"{count} demands x {k_users} users exceed {DEMAND_DRAWS_CAP} draws")
     cum = np.cumsum(model.probs)
     cum[-1] = 1.0
-    rng = _philox(seed)
-    uniforms = rng.random((count, k_users))
-    return np.searchsorted(cum, uniforms, side="right").astype(np.int64) + 1
+    uniforms = _philox(seed).random((count, k_users))
+    edges = np.arange(_BUCKETS + 1) / _BUCKETS
+    below = np.searchsorted(cum, edges[:-1], side="right")
+    split = np.searchsorted(cum, edges[1:], side="left") > below
+    demands = np.where(split, -1, below)[(uniforms * _BUCKETS).astype(np.intp)]
+    inside = demands < 0
+    demands[inside] = np.searchsorted(cum, uniforms[inside], side="right")
+    demands += 1
+    return demands
 
 
 @dataclass(frozen=True)
@@ -296,20 +306,36 @@ def monte_carlo_rate(
     size), which equals total delivered bits / F for any valid realization.
     A subset of l+1 users costs the largest a[d_u, l] among its members.
     Sorted ascending, the j-th smallest of the K values is that largest in
-    exactly C(j, l) of the (l+1)-subsets, so level l costs one sort and one
-    dot product per trial.
+    exactly C(j, l) of the (l+1)-subsets.
+
+    When every level l = 1..K-1 is nonincreasing in n, exactly (every
+    ``algorithm4`` placement is), one integer sort of a trial's file
+    indices orders all levels at once: position j of the ascending sort
+    holds the (K-1-j)-th smallest value of each level l >= 1, and level 0
+    weighs every position by C(., 0) = 1.  So a trial costs
+    sum_j T[j, d_(j)] with T[j, n] = sum_l C(K-1-j, l) a[n, l]: one sort
+    and K gathers.  Any other placement, even one inverted by less than
+    ``POPFIRST_TOL``, sorts each level's values and takes one dot product
+    per level.
     """
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
     if model.n_files != placement.n_files:
         raise InvalidParameterError("model and placement disagree on the file count")
-    k = placement.k_users
-    demands0 = sample_demands(model, k, trials, seed) - 1
+    k, a = placement.k_users, placement.a
+    weights = binomials(k)[:k, :k].astype(float)  # weights[j, l] = C(j, l)
+    demands0 = sample_demands(model, k, trials, seed)
+    demands0 -= 1
     rates = np.zeros(trials)
-    for level in range(k):
-        values = placement.a[demands0, level]
-        values.sort(axis=1)
-        rates += values @ binomials(k)[:k, level].astype(float)
+    if np.all(a[1:, 1:k] <= a[:-1, 1:k]):
+        demands0.sort(axis=1)
+        for position, costs in enumerate(weights[::-1] @ a[:, :k].T):
+            rates += costs[demands0[:, position]]
+    else:
+        for level in range(k):
+            values = a[demands0, level]
+            values.sort(axis=1)
+            rates += values @ weights[:, level]
     mean = float(rates.mean())
     stderr = float(rates.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return MonteCarloResult(mean, stderr, trials, seed)

@@ -13,6 +13,7 @@ from codedcache.delivery import (
     DeliveryTranscript,
     MonteCarloResult,
     PlacementRealization,
+    _philox,
     sample_demands,
 )
 from codedcache.errors import DecodeError, InvalidParameterError
@@ -60,6 +61,17 @@ def delivery_rate_exhaustive(a: np.ndarray, probs) -> float:
             rate += max(a[demand[u], level] for u in range(k) if mask >> u & 1)
         total += weight * rate
     return total
+
+
+def sample_demands_searchsorted(model, k_users: int, count: int, seed: int) -> np.ndarray:
+    """``sample_demands`` by one binary search per draw over the cumulative popularity.
+
+    The same Philox draws u map to 1 + #{n : cum_n <= u}, with no bucket table.
+    """
+    cum = np.cumsum(model.probs)
+    cum[-1] = 1.0
+    uniforms = _philox(seed).random((count, k_users))
+    return np.searchsorted(cum, uniforms, side="right").astype(np.int64) + 1
 
 
 def monte_carlo_rate_subsets(placement, model, trials: int, seed: int) -> MonteCarloResult:

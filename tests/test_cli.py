@@ -379,6 +379,15 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == "error: 40 files x 3178982110559853636 bits exceed 1073741824\n"
 
+    @pytest.mark.parametrize("flag", ["--trials", "--demands"])
+    def test_demand_draws_beyond_the_cap_exit_2(self, capsys, flag):
+        # 10^10 x 3 draws would need hundreds of GiB
+        code, out, err = run_cli(
+            capsys, "verify", "--N", "4", "--K", "3", "--zipf", "1", "--M", "1", flag, "10000000000"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: 10000000000 demands x 3 users exceed 16777216 draws\n"
+
     def test_tampered_placement_fails(self, capsys, tmp_path):
         from codedcache.popularity import make_zipf
         from codedcache.solver import algorithm4

@@ -1,9 +1,10 @@
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from codedcache import delivery
@@ -19,7 +20,7 @@ from codedcache.delivery import (
     serve,
 )
 from codedcache.errors import DecodeError, InvalidFileSizeError, InvalidParameterError
-from codedcache.placement import PlacementMatrix, average_rate, rate_coefficients
+from codedcache.placement import POPFIRST_TOL, PlacementMatrix, average_rate, rate_coefficients
 from codedcache.popularity import make_custom, make_zipf, order_stats
 from codedcache.solver import algorithm4, one_group_placement
 
@@ -32,6 +33,7 @@ from oracles import (
     random_popularity,
     random_popularity_first_placement,
     realize_all_masks,
+    sample_demands_searchsorted,
     serve_all_masks,
 )
 
@@ -64,6 +66,17 @@ class TestSubsetOrder:
     def test_fixed_global_order(self):
         assert all_masks(3) == [0, 1, 2, 4, 3, 5, 6, 7]
 
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_levels_concatenate_to_the_global_order(self, k):
+        masks = []
+        for size in range(k + 1):
+            level_masks, members = delivery._level(k, size)
+            assert len(level_masks) == math.comb(k, size)
+            assert all(m == sum(bits) and list(bits) == sorted(bits) and len(bits) == size
+                       for m, bits in zip(level_masks, members))
+            masks += level_masks
+        assert masks == all_masks(k)
+
 
 class TestLibrary:
     def test_random_library_shapes(self):
@@ -77,6 +90,19 @@ class TestLibrary:
 
     def test_deterministic(self):
         assert random_library(2, 64, seed=5).contents == random_library(2, 64, seed=5).contents
+
+    # sha256 of the concatenated contents; they depend on numpy's bounded-integer draws
+    @pytest.mark.parametrize("n, f_bits, key, digest", [
+        (3, 11, 9, "64603d11a49da5891a2a39f926ffc95071b7638787297cfa54872e593fbd7963"),
+        (2, 64, 5, "719721e0e2fefd684cd6df0f71cfd2dee979bc8df8e26481831b33e6ad4e3d5f"),
+        (9, 35_001, 20240, "4c399373050a5b255f4b201a439bd7a0fadcd93ae23ffe3f140a395b024565ce"),
+        (7, 1_287_000, 5, "5967fed9f3dec3fc257a0e8e5e3659ba94329eba4f590bede8876c14cf4d03cf"),
+        (4, 1000, 2**100 + 12345, "5e980535322d428af82b802fbce9b5ff861a319c6cc321ba0732fe7c63cd23df"),
+        (1, 8, 2**128 - 1, "8e35c2cd3bf6641bdb0e2050b76932cbb2e6034a0ddacc1d9bea82a6ba57f7cf"),
+    ])
+    def test_contents_are_pinned(self, n, f_bits, key, digest):
+        contents = random_library(n, f_bits, seed=key).contents
+        assert hashlib.sha256(b"".join(contents)).hexdigest() == digest
 
     @pytest.mark.parametrize("n, f_bits", [(2, delivery.LIBRARY_BITS_CAP // 2 + 1),
                                            (delivery.LIBRARY_BITS_CAP + 1, 1), (1, 2**70)])
@@ -351,6 +377,23 @@ class TestMonteCarlo:
         with pytest.raises(InvalidParameterError):
             monte_carlo_rate(no_cache_placement(2, 2), model, 0, seed=5)
 
+    @pytest.mark.parametrize("inversion", [1e-12, 1e-10])
+    def test_inversion_within_popfirst_tol_is_priced_per_level(self, inversion):
+        # one sort of the file indices orders the levels only when they are
+        # exactly nonincreasing; a popularity-first check within its
+        # tolerance admits this inversion, and the one-order price is then wrong
+        k = 10
+        model = make_custom([0.3, 0.25, 0.25, 0.2])
+        a = np.zeros((4, k + 1))
+        a[:, 5] = 1 / math.comb(k, 5)
+        a[2, 5] += inversion
+        placement = PlacementMatrix(4, k, a)
+        assert placement.is_popularity_first() and inversion < POPFIRST_TOL
+        got = monte_carlo_rate(placement, model, 3000, seed=8)
+        want = monte_carlo_rate_subsets(placement, model, 3000, seed=8)
+        assert abs(got.mean_rate - want.mean_rate) <= 1e-12 * want.mean_rate
+        assert abs(got.std_error - want.std_error) <= 1e-12 * want.mean_rate
+
 
 @st.composite
 def monte_carlo_instances(draw):
@@ -438,3 +481,57 @@ class TestSampleDemands:
         long = sample_demands(ZIPF9, 7, 50, seed=4)
         short = sample_demands(ZIPF9, 7, 20, seed=4)
         assert np.array_equal(long[:20], short)
+
+    @pytest.mark.parametrize("k, count", [(1, delivery.DEMAND_DRAWS_CAP + 1), (3, 10**10),
+                                          (7, delivery.DEMAND_DRAWS_CAP // 7 + 1)])
+    def test_draws_beyond_the_cap(self, k, count):
+        with pytest.raises(InvalidParameterError, match=f"exceed {delivery.DEMAND_DRAWS_CAP} draws"):
+            sample_demands(ZIPF9, k, count, seed=4)
+
+    def test_cumulative_sums_above_one_before_the_last_file(self):
+        # rounding can carry a steep model's float cumsum past 1.0 early
+        rng = np.random.default_rng(2489)
+        seen = 0
+        for trial in range(300):
+            n = int(rng.integers(2, 300))
+            model = make_custom(steep_probs(rng, n, rng.uniform(1, 40)))
+            if np.cumsum(model.probs)[:-1].max() > 1.0:
+                seen += 1
+                want = sample_demands_searchsorted(model, 3, 400, seed=trial)
+                assert np.array_equal(sample_demands(model, 3, 400, seed=trial), want)
+        assert seen >= 20
+
+
+def steep_probs(rng, n, exponent):
+    weights = np.maximum((1.0 - rng.random(n)) ** exponent, 1e-300)
+    return list(weights / weights.sum())
+
+
+@st.composite
+def sampler_instances(draw):
+    """Models with files below 2^-12, several cumulative boundaries in one
+    bucket, float cumsums above 1.0 before the last file, or none of these."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["steep", "zipf", "uniform", "random"]))
+    if kind == "steep":
+        model = make_custom(steep_probs(rng, n, draw(st.floats(1.0, 60.0))))
+    elif kind == "zipf":
+        model = make_zipf(n, draw(st.floats(0.0, 6.0)))
+    elif kind == "uniform":
+        model = make_zipf(n, 0.0)
+    else:
+        model = make_custom(random_popularity(rng, n))
+    return model, draw(st.integers(1, 8)), draw(st.integers(0, 300)), draw(st.integers(0, 2**128 - 1))
+
+
+@seed(4096)
+@settings(max_examples=300, deadline=None, database=None)
+@given(sampler_instances())
+@example((make_custom(steep_probs(np.random.default_rng(1), 200, 30.0)), 1, 500, 7))
+@example((ZIPF9, 4, 0, 1))
+def test_bucketed_sampler_matches_binary_search(instance):
+    model, k, count, key = instance
+    got = sample_demands(model, k, count, key)
+    want = sample_demands_searchsorted(model, k, count, key)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
