@@ -253,6 +253,12 @@ def decode(realization: PlacementRealization, transcript: DeliveryTranscript, us
     return _int_to_bytes(result, f_bits)
 
 
+def check_draws(count: int, k_users: int) -> None:
+    """Reject ``count`` demands of K users beyond ``DEMAND_DRAWS_CAP`` draws."""
+    if count * k_users > DEMAND_DRAWS_CAP:
+        raise InvalidParameterError(f"{count} demands x {k_users} users exceed {DEMAND_DRAWS_CAP} draws")
+
+
 def sample_demands(model: PopularityModel, k_users: int, count: int, seed: int) -> np.ndarray:
     """count x K matrix of 1-based demands, i.i.d. from ``model``.
 
@@ -266,8 +272,7 @@ def sample_demands(model: PopularityModel, k_users: int, count: int, seed: int) 
     """
     if count < 0:
         raise InvalidParameterError(f"demand count must be >= 0, got {count}")
-    if count * k_users > DEMAND_DRAWS_CAP:
-        raise InvalidParameterError(f"{count} demands x {k_users} users exceed {DEMAND_DRAWS_CAP} draws")
+    check_draws(count, k_users)
     cum = np.cumsum(model.probs)
     cum[-1] = 1.0
     uniforms = _philox(seed).random((count, k_users))

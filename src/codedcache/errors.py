@@ -26,10 +26,6 @@ class BinomialRangeError(CodedCacheError, OverflowError):
     """Binomial coefficient outside the exact-integer range supported here."""
 
 
-class InfeasibleCaseError(CodedCacheError):
-    """A candidate (n_o, n_1, l_o, l_1) tuple does not yield a valid placement."""
-
-
 class InvalidFileSizeError(CodedCacheError, ValueError):
     """The chosen file size does not make every subfile size integral.
 

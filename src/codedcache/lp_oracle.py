@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .delivery import (
+    check_draws,
     decode,
     minimal_file_size,
     monte_carlo_rate,
@@ -38,7 +39,7 @@ from .placement import (
     subpacketization,
     worst_case_subpacketization_bound,
 )
-from .popularity import PopularityModel
+from .popularity import MAX_BINOM_N, PopularityModel
 from .solver import CandidateSolution, algorithm4, check_cache
 
 PIVOT_TOL = 1e-9
@@ -275,8 +276,13 @@ def verify_instance(
     worst-case bound) are checked on the closed-form candidate. ``lp_gap``
     and ``dual_feasibility`` together certify it LP-optimal: it is
     primal feasible, (lambda_1, mu) satisfies every dual inequality, and
-    the two objectives meet.
+    the two objectives meet.  The draw caps of both demand counts are
+    checked first; a K beyond ``MAX_BINOM_N`` fails as early in certify,
+    naming K.
     """
+    if k_users <= MAX_BINOM_N:
+        check_draws(trials, k_users)
+        check_draws(demands, k_users)
     report = certify(model, k_users, cache)
     placement = report.candidate.placement
     groups = analyze_groups(placement).group_count

@@ -2,9 +2,8 @@
 
 The optimal placement partitions files into at most three groups (most /
 moderately / non-popular), each group sharing one placement row with at
-most two nonzero entries.  Every admissible group structure has a closed
-form in the parameters (n_o, n_1, l_o, l_1); the global optimum is the
-minimum-rate candidate over all of them:
+most two nonzero entries.  The global optimum is the minimum-rate
+candidate over three families:
 
   * extended two-group with an uncached tail (``algorithm1``): files
     1..n_o get the symmetric placement of an n_o-file system, the rest
@@ -13,18 +12,22 @@ minimum-rate candidate over all of them:
     both groups use the same subset size l_o (case 2.i) or the first
     group adds a second size l_1 (case 2.ii);
   * three groups (``algorithm3``): the two-group solution on the first
-    n_1 files with every formula's N replaced by n_1, plus an uncached
-    third group.
+    n_1 files, plus an uncached third group.
 
-Each family's entries and feasibility conditions are written once, as
-array expressions over broadcast tuples (n_o, n_eff, l_o, l_1), with
-n_eff = N for two groups and n_1 for three.  A search masks infeasible
+Every candidate is one closed form, ``_two_point``: the lever-rule mix
+about x = M of two points of the LP dual, A = (n_eff, s) and
+B = (n_o, t), where point (n, l) at x = n l / K caches the same share of
+subsets of size l on files 1..n (see ``algorithm4``).  A zero-tail head
+is n_o = n_eff with the adjacent sizes s = floor(K M / n_o) and s + 1;
+a two- or three-group tuple (n_o, n_1, l_o, l_1) is n_eff = N or n_1,
+s = l_o and t = l_1, with t = s in case 2.i.  The form is written once,
+as an array expression over broadcast tuples.  A search masks infeasible
 tuples and picks the winner by the set rule of ``TIE_TOL``; only the
 winner is materialized, from the entries the search computed.
 ``algorithm1/2/3`` search every tuple of their family.  ``algorithm4``
 searches all three, but the LP dual (``solve_dual``, a few vectorized
 simplex pivots) limits it to the tuples whose two dual points pass a
-slack filter, and it evaluates each closed form once, over all of them.
+slack filter, and it evaluates the closed form once per block of them.
 It returns with the winner the dual, which ``lp_oracle.certify`` reads,
 and ``algorithm1``'s winning rate from that same pass: one ``sweep``
 grid point is one search.
@@ -39,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InfeasibleCaseError, InvalidParameterError
+from .errors import DimensionMismatchError, InvalidParameterError
 from .placement import (
     PlacementMatrix,
     RateCoefficients,
@@ -54,8 +57,11 @@ from .popularity import PopularityModel, order_stats
 #: key (nominal groups, n_o, n_1, l_o, l_1), with absent entries sorting
 #: last and, on an equal key, the earlier ``PlacementCase``.
 TIE_TOL = 1e-12
-#: Entries this close to a degenerate boundary make a candidate collapse
-#: into a simpler structure; such tuples are skipped, not clamped.
+#: A two- or three-group candidate whose lever-rule weight of either dual
+#: point is at most this collapses into a simpler structure; such tuples
+#: are skipped, not clamped.  Like ``placement.ZERO_TOL`` it bounds a
+#: weight, which is a level share C(K,l) a_{n,l}, not an entry: at K = 40
+#: a weight of 0.1 can stand on entries below 1e-12.
 STRICT_TOL = 1e-12
 #: A dual line is tight when its slack is at most this share of
 #: max(1, |lambda_1| + |mu| M), and its partner passes the slack filter
@@ -149,72 +155,36 @@ class _Rows(NamedTuple):
     w: object
 
 
-def _zero_tail(k: int, m: float, n_o):
-    """Feasibility and rows of the first n_o files holding the whole cache.
+def _heads(k: int, m: float, n_o) -> tuple:
+    """Zero-tail tuples (n_o, n_o, s, t): s = floor(K m / n_o) and t = s + 1, both capped at K."""
+    s = np.minimum(np.floor(k * m / n_o), k).astype(np.int64)
+    return n_o, n_o, s, np.minimum(s + 1, k)
 
-    They share the symmetric row of an n_o-file system: with v = K*m/n_o
-    it splits over the adjacent subset sizes floor(v) and floor(v)+1, and
-    integral v collapses to one entry.  The head must hold the cache,
-    m <= n_o; n_o = N is the one-group case.
+
+def _two_point(k: int, m: float, n_o, n_eff, s, t):
+    """Feasibility and rows of the placement on the dual points A = (n_eff, s) and B = (n_o, t).
+
+    Point (n, l), at x = n l / K, puts its weight over C(K,l) at subset
+    size l on files 1..n.  The lever rule about x = M weighs A by
+    w_A = (t n_o - K M) / (t n_o - s n_eff), an exact integer denominator,
+    and B by w_B = 1 - w_A.  So files 1..n_eff hold w_A / C(K,s) at size s,
+    files 1..n_o also w_B / C(K,t) at t (one entry 1 / C(K,s) when s = t),
+    and files n_o+1..n_eff keep the server share w_B.  A zero-tail head
+    (n_o = n_eff, see ``_heads``) is the symmetric row of an n_o-file
+    system and must hold the cache, M <= n_o.  Any other pair needs both
+    weights, which are level shares, above STRICT_TOL: that puts M strictly
+    between x_A and x_B.
     """
-    v = k * m / n_o
-    lo = np.minimum(np.floor(v), k).astype(np.int64)
-    hi = np.minimum(lo + 1, k)
+    den = t * n_o - s * n_eff
+    with np.errstate(divide="ignore", invalid="ignore"):  # singular pairs are masked
+        w_a = np.where(den != 0, (t * n_o - k * m) / den, 1.0)
+    w_b = 1.0 - w_a
+    ok = np.where(n_o == n_eff, m <= n_o, (STRICT_TOL < w_a) & (STRICT_TOL < w_b))
     binoms = partition_weights(k)
-    x = (1.0 + lo - v) / binoms[lo]
-    y = np.where((lo < k) & (v > lo), (v - lo) / binoms[hi], 0.0)
-    return m <= n_o, _Rows(n_o, n_o, lo, hi, x, y, 0.0, 0.0)
-
-
-def _case2i(k: int, m: float, n_eff, n_o, l_o):
-    """Feasibility and rows when both groups share the subset size l_o (case 2.i).
-
-    l_o must lie in the window floor(K*m/n_eff) < l_o < K*m/n_o, and the
-    second group's share of the first group's entry strictly inside (0, 1).
-    """
-    km = k * m
-    ratio = km / (l_o * n_eff)  # fraction of each file the first group caches
-    share = n_o / n_eff
-    frac = (ratio - share) / (1.0 - share)
-    ok = (
-        (np.floor(km / n_eff) + 1 <= l_o)
-        & (l_o <= np.minimum(k, np.ceil(km / n_o) - 1))
-        & (STRICT_TOL < frac)
-        & (frac < 1.0 - STRICT_TOL)
-    )
-    binom = partition_weights(k)[l_o]
-    row2_server = (1.0 - ratio) / (1.0 - share)
-    return ok, _Rows(n_o, n_eff, l_o, l_o, 1.0 / binom, 0.0, frac / binom, row2_server)
-
-
-def _case2ii(k: int, m: float, n_eff, n_o, l_o, l_1):
-    """Feasibility and rows when the first group adds a second size l_1 (case 2.ii).
-
-    Admissible when l_o != l_1 and either l_o > K*m/n_eff, l_1 < K*m/n_o
-    (C1) or l_o < K*m/n_eff, l_1 > K*m/n_o (C2); the tuple must not be
-    singular (l_1*n_o = l_o*n_eff) and every nominally positive entry must
-    exceed STRICT_TOL.
-    """
-    km = k * m
-    admissible = (l_1 != l_o) & (
-        ((l_o > km / n_eff) & (l_1 < km / n_o)) | ((l_o < km / n_eff) & (l_1 > km / n_o))
-    )
-    q = np.divide(l_1 * n_o, l_o * n_eff)
-    denom = 1.0 - q
-    ratio = km / (l_o * n_eff)
-    binoms = partition_weights(k)
-    with np.errstate(divide="ignore", invalid="ignore"):  # singular tuples are masked
-        a_lo = (ratio - q) / denom / binoms[l_o]
-        a_0 = (1.0 - ratio) / denom
-        a_l1 = a_0 / binoms[l_1]
-    ok = (
-        admissible
-        & (np.abs(denom) >= STRICT_TOL)
-        & (a_lo > STRICT_TOL)
-        & (a_l1 > STRICT_TOL)
-        & (a_0 > STRICT_TOL)
-    )
-    return ok, _Rows(n_o, n_eff, l_o, l_1, a_lo, a_l1, a_lo, a_0)
+    x = w_a / binoms[s]
+    one = s == t
+    y = np.where(one, 0.0, w_b / binoms[t])
+    return ok, _Rows(n_o, n_eff, s, t, np.where(one, 1.0 / binoms[s], x), y, x, w_b)
 
 
 def _rate(pref: np.ndarray, r: _Rows):
@@ -241,13 +211,6 @@ def _matrix(n: int, k: int, r: _Rows) -> PlacementMatrix:
     return PlacementMatrix(n, k, a)
 
 
-def _check_tuple(n_files: int, k_users: int, n_o: int, *sizes: int) -> None:
-    if not 1 <= n_o <= n_files - 1:
-        raise InvalidParameterError(f"n_o={n_o} outside 1..{n_files - 1}")
-    if not all(1 <= size <= k_users for size in sizes):
-        raise InfeasibleCaseError(f"cache-subgroup sizes {sizes} must lie in 1..{k_users}")
-
-
 def check_cache(n_files: int, cache: float) -> None:
     """Reject a cache size outside [0, N]."""
     if not 0.0 <= cache <= n_files:
@@ -257,31 +220,7 @@ def check_cache(n_files: int, cache: float) -> None:
 def one_group_placement(n_files: int, k_users: int, cache: float) -> PlacementMatrix:
     """Identical rows for all files (the uniform-popularity optimum)."""
     check_cache(n_files, cache)
-    _, rows = _zero_tail(k_users, cache, n_files)
-    return _matrix(n_files, k_users, rows)
-
-
-def case2i_placement(
-    n_files: int, k_users: int, cache: float, n_o: int, l_o: int
-) -> PlacementMatrix:
-    """Two-group placement with a shared subset size (case 2.i)."""
-    _check_tuple(n_files, k_users, n_o, l_o)
-    ok, rows = _case2i(k_users, cache, n_files, n_o, l_o)
-    if not ok:
-        raise InfeasibleCaseError(f"(n_o={n_o}, l_o={l_o}) is not a feasible case-2.i tuple")
-    return _matrix(n_files, k_users, rows)
-
-
-def case2ii_placement(
-    n_files: int, k_users: int, cache: float, n_o: int, l_o: int, l_1: int
-) -> PlacementMatrix:
-    """Two-group placement with an extra subset size in the first group (case 2.ii)."""
-    _check_tuple(n_files, k_users, n_o, l_o, l_1)
-    ok, rows = _case2ii(k_users, cache, n_files, n_o, l_o, l_1)
-    if not ok:
-        raise InfeasibleCaseError(
-            f"(n_o={n_o}, l_o={l_o}, l_1={l_1}) is not a feasible case-2.ii tuple"
-        )
+    _, rows = _two_point(k_users, cache, *_heads(k_users, cache, n_files))
     return _matrix(n_files, k_users, rows)
 
 
@@ -362,18 +301,9 @@ def solve_dual(coeffs: RateCoefficients, cache: float) -> Dual:
 # Candidate search
 
 
-def _priced(pref, k: int, m: float, n_o, n_eff=None, l_o=None, l_1=None):
-    """Rates and rows of a block of one family's tuples; infeasible tuples rate inf.
-
-    Without n_eff the tuples are zero-tail heads n_o.  With it they are
-    case 2.i, or case 2.ii when l_1 is given.
-    """
-    if n_eff is None:
-        ok, rows = _zero_tail(k, m, n_o)
-    elif l_1 is None:
-        ok, rows = _case2i(k, m, n_eff, n_o, l_o)
-    else:
-        ok, rows = _case2ii(k, m, n_eff, n_o, l_o, l_1)
+def _priced(pref, k: int, m: float, n_o, n_eff, s, t):
+    """Rates and rows of a block of two-point tuples; infeasible tuples rate inf."""
+    ok, rows = _two_point(k, m, n_o, n_eff, s, t)
     return np.where(ok, _rate(pref, rows), np.inf), rows
 
 
@@ -436,15 +366,14 @@ def _candidate(n: int, k: int, rate: float, key: tuple, rows: _Rows) -> Candidat
 
 
 def _pairs(n: int, k: int, m: float, effs: list[int], dual: Dual, tol: float):
-    """Blocks of the case 2.i and 2.ii tuples whose two dual points pass the slack filter.
+    """Blocks of the two- and three-group tuples whose two dual points pass the slack filter.
 
     Point (n, l) lies at x = n l / K.  A tight point T (slack <= tol)
     keeps each point Q across x = M with n_Q != n_T and lever-rule
     weighted slack (x_T - M) / (x_T - x_Q) slack_Q <= tol.  Weights are at
     most 1, so two tight points pass from either end: only the left keeps
-    them.  The pair's smaller n is n_o, its larger the n_eff, which must
-    be in ``effs``; equal sizes give the case 2.i tuple (n_o, n_eff, l),
-    others case 2.ii with l_o of the n_eff point and l_1 of the n_o point.
+    them.  The pair's larger n is n_eff, which must be in ``effs``, with
+    l_o its point's size; the smaller n is n_o, with l_1 its point's size.
     Tight points go a few at a time: a slice holds max(_SLICE, N K) pairs.
     """
     n_of = np.arange(n * k) // k + 1
@@ -461,9 +390,8 @@ def _pairs(n: int, k: int, m: float, effs: list[int], dual: Dual, tol: float):
         i, j = np.nonzero(keep)
         head, tail = np.sort([t[i, 0], j], axis=0)  # flat indices run n-major
         n_o, l_1, n_eff, l_o = head // k + 1, head % k + 1, tail // k + 1, tail % k + 1
-        one, two = is_eff[n_eff] & (l_o == l_1), is_eff[n_eff] & (l_o != l_1)
-        yield n_o[one], n_eff[one], l_o[one]
-        yield n_o[two], n_eff[two], l_o[two], l_1[two]
+        eff = is_eff[n_eff]
+        yield n_o[eff], n_eff[eff], l_o[eff], l_1[eff]
 
 
 def _checked_coefficients(model: PopularityModel, k: int, m: float, coeffs) -> RateCoefficients:
@@ -491,14 +419,14 @@ def _search(
 
     The winner is None when no tuple is feasible, the rate None when the
     zero-tail family is not searched; that family is never empty (n_o = N
-    holds any cache).  The three-group family runs the two-group closed
-    forms on the first n_1 files, and case 2.ii follows case 2.i in
-    ``PlacementCase``.  The cached groups must jointly hold at least the
-    cache worth of files, so n_1 ranges over max(2, floor(M) + 1)..N-1.
-    Every tuple is evaluated, one n_eff at a time, unless ``tight`` gives
-    the LP dual and its tolerance: then only the two- and three-group
-    tuples whose points pass the slack filter are (see ``algorithm4`` and
-    ``_pairs``).  Tuples need n_o < n_eff.
+    holds any cache).  The three-group family runs the two-group tuples
+    on the first n_1 files.  The cached groups must jointly hold at least
+    the cache worth of files, so n_1 ranges over max(2, floor(M) + 1)..N-1.
+    Every tuple (n_o, n_eff, l_o, l_1) is evaluated, one N x K x K block
+    per n_eff, unless ``tight`` gives the LP dual and its tolerance: then
+    only the two- and three-group tuples whose points pass the slack
+    filter are (see ``algorithm4`` and ``_pairs``).  Tuples need
+    n_o < n_eff.
     """
     coeffs = _checked_coefficients(model, k, m, coeffs)
     n = model.n_files
@@ -509,16 +437,13 @@ def _search(
     )
     if tight is None:
         sizes = np.arange(1, k + 1)
-        blocks = [block for n_eff in effs for block in (
-            (np.arange(1, n_eff)[:, None], n_eff, sizes),
-            (np.arange(1, n_eff)[:, None, None], n_eff, sizes[:, None], sizes),
-        )]
+        blocks = [(np.arange(1, n_eff)[:, None, None], n_eff, sizes[:, None], sizes) for n_eff in effs]
     else:
         blocks = _pairs(n, k, m, effs, *tight)
     found, zero_rate = [], None
     with np.errstate(divide="ignore", invalid="ignore"):  # rates of masked tuples
         if zero_tail:
-            found = _near_minimum(n, found, *_priced(pref, k, m, np.arange(1, n + 1)))
+            found = _near_minimum(n, found, *_priced(pref, k, m, *_heads(k, m, np.arange(1, n + 1))))
             zero_rate = _winner(found)[0]
         for block in blocks:
             found += _near_minimum(n, found, *_priced(pref, k, m, *block))
@@ -557,14 +482,13 @@ def algorithm4(
     (0, g_{1,0}), with weights u_{n,l} and a_{1,0}.  So for any
     (lambda_1, mu), its rate minus the dual value D is
     a_{1,0} slack_0 + sum u_{n,l} slack_{n,l}.  A two- or three-group
-    candidate weighs two points only, P = (n_o, l_o) in case 2.i or
-    (n_o, l_1) in case 2.ii, and Q = (n_eff, l_o).  Its entries exceed
-    STRICT_TOL, so both weights are positive; as they sum to 1 and
-    average x to M, M lies strictly between x_P and x_Q and the lever
-    rule gives w_Q = (x_P - M) / (x_P - x_Q).  (Case 2.i has x_P < x_Q;
-    x_P = x_Q in case 2.ii is the singular tuple the mask drops.)  So a
-    candidate within delta of D has w_P slack_P, w_Q slack_Q <= delta,
-    and slack <= 2 delta on its point of weight >= 1/2.
+    candidate weighs two points only, P = (n_o, l_1) and Q = (n_eff, l_o)
+    (l_1 = l_o in case 2.i): it is ``_two_point``'s lever-rule mix, with
+    w_Q = (x_P - M) / (x_P - x_Q).  Both weights exceed STRICT_TOL, so M
+    lies strictly between x_P and x_Q (x_P = x_Q is the singular tuple
+    the mask drops).  So a candidate within delta of D has w_P slack_P,
+    w_Q slack_Q <= delta, and slack <= 2 delta on its point of weight
+    >= 1/2.
 
     Hence the search evaluates the zero-tail family whole and the tuples
     ``_pairs`` keeps: a tight point (slack <= tol, the scaled TIGHT_TOL)

@@ -25,6 +25,7 @@ from codedcache.solver import (
     TIGHT_TOL,
     Dual,
     _candidate,
+    _heads,
     _near_minimum,
     _priced,
     _search,
@@ -333,14 +334,14 @@ def _case2ii_rows(n_eff, k, m, n_o, l_o, l_1):
     if abs(denom) < SEARCH_STRICT_TOL:
         return None
     ratio = km / (l_o * n_eff)
-    a_lo = (ratio - q) / denom / math.comb(k, l_o)
-    a_l1 = (1.0 - ratio) / denom / math.comb(k, l_1)
+    share_lo = (ratio - q) / denom  # the level shares C(K,l) a of the two sizes
     a_0 = (1.0 - ratio) / denom
-    if min(a_lo, a_l1, a_0) <= SEARCH_STRICT_TOL:
+    if min(share_lo, a_0) <= SEARCH_STRICT_TOL:
         return None
+    a_lo = share_lo / math.comb(k, l_o)
     row1 = [0.0] * (k + 1)
     row1[l_o] = a_lo
-    row1[l_1] = a_l1
+    row1[l_1] = a_0 / math.comb(k, l_1)
     row2 = [0.0] * (k + 1)
     row2[l_o] = a_lo
     row2[0] = a_0
@@ -469,12 +470,12 @@ def _ranges(starts, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _tight_blocks(n: int, k: int, effs: list[int], t_n: np.ndarray, t_l: np.ndarray) -> list[tuple]:
-    """Blocks of the case 2.i and 2.ii tuples that weigh a tight point (t_n, t_l), as flat arrays.
+    """Blocks of the two- and three-group tuples that weigh a tight point (t_n, t_l), as flat arrays.
 
-    A tuple weighs two points, (n_eff, l_o) and the n_o point: (n_o, l_o)
-    in case 2.i, (n_o, l_1) in case 2.ii.  A tight point as the n_eff point
-    pairs with every n_o below it (``below`` of them), as the n_o point
-    with every n_eff in ``effs`` above it (``later``, from ``effs[after]``).
+    A tuple (n_o, n_eff, l_o, l_1) weighs two points, (n_eff, l_o) and
+    (n_o, l_1).  A tight point as the n_eff point pairs with every point
+    of an n_o below it (``below`` of them), as the n_o point with every
+    point of an n_eff in ``effs`` above it (``later``, from ``effs[after]``).
     Blocks hold at most _SLICE tuples.
     """
     is_eff = np.zeros(n + 1, dtype=bool)
@@ -483,25 +484,15 @@ def _tight_blocks(n: int, k: int, effs: list[int], t_n: np.ndarray, t_l: np.ndar
     below = (t_n - 1) * is_eff[t_n]
     after = np.searchsorted(effs, t_n, side="right")
     later = len(effs) - after
-    eff_of, heads = _ranges(1, below)
-    head_of, at = _ranges(after, later)
-    blocks = [(  # case 2.i
-        np.concatenate((heads, t_n[head_of])),
-        np.concatenate((t_n[eff_of], effs[at])),
-        t_l[np.concatenate((eff_of, head_of))],
-    )]
     eff_of, point = _ranges(0, below * k)  # point (n_o, l_1) = divmod(point, K) + 1
     head_of, at = _ranges(after * k, later * k)  # (n_eff, l_o) = (effs[at // K], at % K + 1)
-    n_o, n_eff, l_o, l_1 = (
+    block = (
         np.concatenate((point // k + 1, t_n[head_of])),
         np.concatenate((t_n[eff_of], effs[at // k])),
         np.concatenate((t_l[eff_of], at % k + 1)),
         np.concatenate((point % k + 1, t_l[head_of])),
     )
-    two = np.flatnonzero(l_o != l_1)  # case 2.ii needs two sizes
-    blocks.append((n_o[two], n_eff[two], l_o[two], l_1[two]))
-    return [tuple(entry[at : at + _SLICE] for entry in block)
-            for block in blocks for at in range(0, len(block[0]), _SLICE)]
+    return [tuple(entry[at : at + _SLICE] for entry in block) for at in range(0, len(block[0]), _SLICE)]
 
 
 def algorithm4_tight_lines(model, k: int, m: float, coeffs):
@@ -518,7 +509,7 @@ def algorithm4_tight_lines(model, k: int, m: float, coeffs):
     effs = list(range(max(2, math.floor(m) + 1), n)) + [n]
     tight_n, tight_l = np.nonzero(dual.slack <= tol)
     with np.errstate(divide="ignore", invalid="ignore"):
-        found = _near_minimum(n, [], *_priced(pref, k, m, np.arange(1, n + 1)))
+        found = _near_minimum(n, [], *_priced(pref, k, m, *_heads(k, m, np.arange(1, n + 1))))
         zero_rate = _winner(found)[0]
         for block in _tight_blocks(n, k, effs, tight_n + 1, tight_l + 1):
             found += _near_minimum(n, found, *_priced(pref, k, m, *block))

@@ -93,6 +93,13 @@ class TestSolve:
         assert payload["case"] == "two_group_zero_tail"
         assert len((tmp_path / "result.csv").read_text().strip().splitlines()) == 9
 
+    def test_large_k_case2ii_optimum(self, capsys):
+        code, _, err = run_cli(
+            capsys, "solve", "--N", "65", "--K", "40", "--zipf", "1.6", "--M", "31"
+        )
+        assert code == 0
+        assert err == "case=three_group_case2 groups=3 rate=1.005134291 (n_o=54, n_1=55, l_o=22, l_1=23)\n"
+
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run_cli(capsys, "solve", "--N", "9", "--K", "7", "--zipf", "1.5", "--M", "2.5")
         _, second, _ = run_cli(capsys, "solve", "--N", "9", "--K", "7", "--zipf", "1.5", "--M", "2.5")
@@ -372,12 +379,14 @@ class TestVerify:
         assert out.endswith("verify: 1 instance(s), 0 failed check(s)\n")
 
     def test_library_beyond_the_cap_exits_2(self, capsys):
-        # this M needs files of about 3e18 bits, which numpy cannot allocate
+        # the float recovery of this M's entries asks for about 1e17-bit
+        # files (3178982110559853636 bits from the per-family closed forms),
+        # which numpy cannot allocate; the exact size is 30,000,000 bits
         code, out, err = run_cli(
             capsys, "verify", "--N", "40", "--K", "12", "--zipf", "0.8", "--M", "3.1234567"
         )
         assert code == 2 and out == ""
-        assert err == "error: 40 files x 3178982110559853636 bits exceed 1073741824\n"
+        assert err == "error: 40 files x 115447117691650404 bits exceed 1073741824\n"
 
     @pytest.mark.parametrize("flag", ["--trials", "--demands"])
     def test_demand_draws_beyond_the_cap_exit_2(self, capsys, flag):

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from codedcache import solver
+from codedcache import lp_oracle, solver
+from codedcache.delivery import DEMAND_DRAWS_CAP
+from codedcache.errors import InvalidParameterError
 from codedcache.lp_oracle import (
     LinearProgram,
     build_p2,
@@ -275,6 +277,15 @@ class TestDual:
             calls.clear()
             verify_instance(model, k, m, trials=200, seed=1, demands=1)
             assert len(calls) == 1
+
+    @pytest.mark.parametrize("trials, demands", [(10**10, 1), (200, 10**10)])
+    def test_draw_caps_are_checked_before_any_work(self, monkeypatch, trials, demands):
+        def certify(*args):
+            raise AssertionError("certify ran before the draw caps were checked")
+
+        monkeypatch.setattr(lp_oracle, "certify", certify)
+        with pytest.raises(InvalidParameterError, match=f"10000000000 demands x 3 users exceed {DEMAND_DRAWS_CAP}"):
+            verify_instance(make_zipf(4, 1.0), 3, 1.0, trials=trials, seed=1, demands=demands)
 
     def test_large_instance_is_fast(self):
         model = make_zipf(1000, 1.0)

@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from codedcache import solver
-from codedcache.errors import DimensionMismatchError, InfeasibleCaseError, InvalidParameterError
-from codedcache.lp_oracle import certify
+from codedcache.errors import DimensionMismatchError, InvalidParameterError
+from codedcache.lp_oracle import OPT_TOL, certify
 from codedcache.placement import (
     PlacementMatrix,
     analyze_groups,
@@ -25,14 +27,14 @@ from codedcache.solver import (
     algorithm2,
     algorithm3,
     algorithm4,
-    case2i_placement,
-    case2ii_placement,
     one_group_placement,
     solve_dual,
 )
 
 from golden import GOLDEN_CASES, GOLDEN_PLACEMENTS
 from oracles import (
+    _case2i_rows,
+    _case2ii_rows,
     algorithm4_tight_lines,
     candidate_search_exhaustive,
     popularity_instances,
@@ -106,9 +108,17 @@ class TestAlgorithm1:
         assert candidate.n_o == 9  # only the full head can hold M=8.5
 
 
+def group_placement(rows_of, n_eff, k, m, n_o, *sizes):
+    """The oracle's case 2.i or 2.ii rows as a placement of n_eff files, or None when infeasible."""
+    rows = rows_of(n_eff, k, m, n_o, *sizes)
+    if rows is None:
+        return None
+    return PlacementMatrix(n_eff, k, np.array([rows[0]] * n_o + [rows[1]] * (n_eff - n_o)))
+
+
 class TestCase2i:
     def test_reference_m6(self):
-        matrix = case2i_placement(9, 7, 6.0, n_o=8, l_o=5)
+        matrix = group_placement(_case2i_rows, 9, 7, 6.0, 8, 5)
         assert matrix.a[7, 5] == pytest.approx(1 / 21, abs=1e-12)
         assert matrix.a[8, 5] == pytest.approx(0.4 / 21, abs=1e-12)
         assert matrix.a[8, 0] == pytest.approx(0.6, abs=1e-12)
@@ -117,19 +127,17 @@ class TestCase2i:
 
     def test_window_lower_edge(self):
         # l_o = 4 sits below floor(KM/N) + 1 = 5
-        with pytest.raises(InfeasibleCaseError):
-            case2i_placement(9, 7, 6.0, n_o=8, l_o=4)
+        assert _case2i_rows(9, 7, 6.0, 8, 4) is None
 
     def test_degenerate_equal_rows_rejected(self):
         # N=2, K=2, M=1, n_o=1, l_o=1 would make both rows identical
-        with pytest.raises(InfeasibleCaseError):
-            case2i_placement(2, 2, 1.0, n_o=1, l_o=1)
+        assert _case2i_rows(2, 2, 1.0, 1, 1) is None
 
 
 class TestCase2ii:
     def test_three_group_inner_call(self):
         # the first six files of the reference M=2.5 solution form this case
-        matrix = case2ii_placement(6, 7, 2.5, n_o=4, l_o=3, l_1=4)
+        matrix = group_placement(_case2ii_rows, 6, 7, 2.5, 4, 3, 4)
         assert matrix.a[0, 3] == pytest.approx(0.75 / 35, abs=1e-12)
         assert matrix.a[0, 4] == pytest.approx(0.25 / 35, abs=1e-12)
         assert matrix.a[4, 0] == pytest.approx(0.25, abs=1e-12)
@@ -141,15 +149,13 @@ class TestCase2ii:
     def test_admissibility_arithmetic(self):
         # C1: l_o > KM/n_eff and l_1 < KM/n_o
         assert 3 > 7 * 2.5 / 6 and 4 < 7 * 2.5 / 4
-        case2ii_placement(6, 7, 2.5, n_o=4, l_o=3, l_1=4)  # admissible
+        assert _case2ii_rows(6, 7, 2.5, 4, 3, 4) is not None  # admissible
 
     def test_rejects_equal_sizes(self):
-        with pytest.raises(InfeasibleCaseError):
-            case2ii_placement(9, 7, 2.5, n_o=4, l_o=3, l_1=3)
+        assert _case2ii_rows(9, 7, 2.5, 4, 3, 3) is None
 
     def test_rejects_inadmissible_pair(self):
-        with pytest.raises(InfeasibleCaseError):
-            case2ii_placement(9, 7, 2.5, n_o=4, l_o=1, l_1=2)
+        assert _case2ii_rows(9, 7, 2.5, 4, 1, 2) is None
 
 
 class TestAlgorithm2:
@@ -465,6 +471,40 @@ def test_algorithm4_matches_full_search_seeded(monkeypatch):
     assert fallbacks == []
 
 
+def test_large_k_case2ii_optimum_is_found():
+    # at K = 40 the optimum's level shares are about 0.1 but its entries
+    # w / C(40, l) about 1e-12: the degeneracy mask must read the shares
+    model = make_zipf(65, 1.6)
+    best = algorithm4(model, 40, 31.0)
+    assert best.case_id is PlacementCase.THREE_GROUP_CASE2
+    assert (best.n_o, best.n_1, best.l_o, best.l_1) == (54, 55, 22, 23)
+    assert abs(certify(model, 40, 31.0).gap) <= OPT_TOL
+
+
+def test_large_k_grid_meets_the_dual_without_fallback(monkeypatch):
+    """Every winner on a large-K grid is within OPT_TOL of the LP dual value, from the tight search."""
+    fallbacks = []
+
+    def search(*args, **kw):
+        if kw.get("tight") is None:
+            fallbacks.append(args)
+        return _search(*args, **kw)
+
+    monkeypatch.setattr(solver, "_search", search)
+    gaps = {}
+    for n in (40, 65):
+        for k in (40, 45, 50):
+            for theta in (1.5, 1.6, 2.0):
+                model = make_zipf(n, theta)
+                coeffs = coeffs_for(model, k)
+                for m in (1.5 * j for j in range(1, math.ceil(n / 1.5))):
+                    best = algorithm4(model, k, m, coeffs=coeffs)
+                    gaps[n, k, theta, m] = best.rate - best.dual.value
+    assert len(gaps) == 621
+    assert {point: gap for point, gap in gaps.items() if abs(gap) > OPT_TOL} == {}
+    assert fallbacks == []
+
+
 def full_key(candidate):
     """Everything a caller reads of a winner, as bits."""
     return (candidate.case_id, candidate.n_o, candidate.n_1, candidate.l_o, candidate.l_1,
@@ -529,16 +569,20 @@ def test_alg1_rate_is_algorithm1s_rate(instance):
 
 
 def test_tight_search_calls_each_closed_form_once(monkeypatch):
-    """The winner is materialized from the search's own entries, not by a second call."""
-    calls = []
-    for name in ("_zero_tail", "_case2i", "_case2ii"):
-        form = getattr(solver, name)
-        monkeypatch.setattr(solver, name, lambda *args, _name=name, _form=form: (
-            calls.append(_name), _form(*args))[1])
+    """``_two_point`` runs for the zero-tail heads and each slack-filter block, never after.
+
+    The winner is materialized from the search's own entries, not by a second call.
+    """
+    blocks, calls = [], []
+    pairs, form = solver._pairs, solver._two_point
+    monkeypatch.setattr(solver, "_pairs", lambda *args: (
+        blocks.append(block) or block for block in pairs(*args)))
+    monkeypatch.setattr(solver, "_two_point", lambda *args: (calls.append(args), form(*args))[1])
     for model, k, m in ((ZIPF9, 7, 2.5), (ZIPF9, 7, 6.0), (make_zipf(1000, 1.0), 30, 3.7)):
+        blocks.clear()
         calls.clear()
         best = algorithm4(model, k, m)
-        assert sorted(calls) == ["_case2i", "_case2ii", "_zero_tail"], best.case_id
+        assert len(calls) == 1 + len(blocks), best.case_id
 
 
 def pairs_by_loop(n, k, m, effs, slack, tol):
@@ -556,7 +600,7 @@ def pairs_by_loop(n, k, m, effs, slack, tol):
             if (x_t - m) / (x_t - x_q) * slack[q[0] - 1, q[1] - 1] <= tol:
                 (n_o, l_1), (n_eff, l_o) = sorted((t, q))
                 if n_eff in effs:
-                    kept.add((n_o, n_eff, l_o) if l_o == l_1 else (n_o, n_eff, l_o, l_1))
+                    kept.add((n_o, n_eff, l_o, l_1))
     return kept
 
 
@@ -594,17 +638,15 @@ class TestDualLemma:
     @staticmethod
     def candidates(n, k, m):
         """Feasible zero-tail, case 2.i and 2.ii placements of n_eff files, padded to N files."""
-        shapes = [(one_group_placement, n_o, ()) for n_o in range(1, n + 1) if m <= n_o]
+        heads = [one_group_placement(n_o, k, m) for n_o in range(1, n + 1) if m <= n_o]
         for n_eff in range(2, n + 1):
             for n_o in range(1, n_eff):
                 for l_o in range(1, k + 1):
-                    shapes.append((case2i_placement, n_eff, (n_o, l_o)))
-                    shapes += [(case2ii_placement, n_eff, (n_o, l_o, l_1)) for l_1 in range(1, k + 1)]
-        for build, n_eff, tup in shapes:
-            try:
-                head = build(n_eff, k, m, *tup)
-            except InfeasibleCaseError:
-                continue
+                    heads.append(group_placement(_case2i_rows, n_eff, k, m, n_o, l_o))
+                    heads += [group_placement(_case2ii_rows, n_eff, k, m, n_o, l_o, l_1)
+                              for l_1 in range(1, k + 1)]
+        for head in filter(None, heads):
+            n_eff = head.n_files
             tail = np.zeros((n - n_eff, k + 1))
             tail[:, 0] = 1.0
             yield PlacementMatrix(n, k, np.vstack([head.a, tail]))
